@@ -13,26 +13,37 @@ more cells to be reconstructable, so that is what the fetcher requests
 (fetching all 512 cells of every line would cost ~4.5 MB per node per
 slot instead of the ~1-2 MB the paper reports in Figure 10).
 
-Performance: this is the hottest data structure in the simulator — a
-full-parameter node stores ~8k cells per slot, so a thousand-node run
-crosses :meth:`SlotCellState.add_cells` millions of times. State is
-therefore kept as flat per-line occupancy counters (O(1) deficit /
-completeness checks instead of bitmask popcounts), the ingest loop is
-a single inlined pass with locals bound once per batch, and the
-reconstruction closure only runs when a counter actually moved. The
-externally observable behaviour — stored-cell order, ``on_store``
-callback order, reconstruction order — is bit-identical to the
-original bitmask implementation; the determinism suite pins it.
+Representation: each custody line is one Python int bitmask, bit *i*
+being position *i* within the line (the column of a row, the row of a
+column), as in :class:`repro.erasure.matrix.RowColumnAvailability`. A
+cell where two custody lines cross is set in both masks. Line counts
+are ``bit_count()``, completeness is ``mask == full`` and
+reconstruction is a single assignment plus one crossing bit per other
+custody line, so a node's custody state is 16 ints instead of a set of
+~8k cell ids. Cells off the custody lines (samples elsewhere, cells the
+GossipSub and PeerDAS baselines ingest) are kept in a plain set.
+
+:meth:`SlotCellState.mark` writes the same per-line masks for other
+cell sets (the fetcher's inbound and boost maps), so everything keyed
+by custody line shares one geometry.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
-from repro.core.assignment import Custody, cells_of_line, lines_of_cell
+from repro.core.assignment import Custody, lines_of_cell
 from repro.params import PandasParams
 
-__all__ = ["SlotCellState"]
+__all__ = ["SlotCellState", "bit_positions"]
+
+
+def bit_positions(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class SlotCellState:
@@ -44,15 +55,14 @@ class SlotCellState:
         "on_store",
         "custody_lines",
         "samples",
-        "have",
         "cells_reconstructed",
         "duplicates_received",
         "_ext_rows",
         "_ext_cols",
-        "_line_set",
-        "_counts",
-        "_line_len",
-        "_half",
+        "_masks",
+        "_off_line",
+        "_row_full",
+        "_col_full",
         "_incomplete_lines",
         "_samples_missing",
     )
@@ -75,38 +85,101 @@ class SlotCellState:
         self.custody_lines: tuple[int, ...] = custody.lines(params.ext_rows)
         self._ext_rows = params.ext_rows
         self._ext_cols = params.ext_cols
-        self._line_set = frozenset(self.custody_lines)
-        # per-line occupancy count over positions within the line
-        self._counts: dict[int, int] = dict.fromkeys(self.custody_lines, 0)
-        self._line_len: dict[int, int] = {
-            line: params.ext_cols if line < params.ext_rows else params.ext_rows
-            for line in self.custody_lines
-        }
-        self._half: dict[int, int] = {
-            line: length // 2 for line, length in self._line_len.items()
-        }
+        # held positions per custody line (the only custody-line state)
+        self._masks: dict[int, int] = dict.fromkeys(self.custody_lines, 0)
+        # held cells on no custody line, by exact membership
+        self._off_line: set[int] = set()
+        self._row_full = (1 << params.ext_cols) - 1
+        self._col_full = (1 << params.ext_rows) - 1
         self._incomplete_lines = len(self.custody_lines)
         self.samples: set[int] = set(samples)
         self._samples_missing = len(self.samples)
-        self.have: set[int] = set()
         self.cells_reconstructed = 0
         self.duplicates_received = 0
 
     # ------------------------------------------------------------------
     # geometry helpers
     # ------------------------------------------------------------------
-    def _position(self, line: int, cid: int) -> int:
-        """Index of ``cid`` within ``line`` (column for rows, row for cols)."""
-        row, col = divmod(cid, self._ext_cols)
-        return col if line < self._ext_rows else row
+    def full_mask(self, line: int) -> int:
+        return self._row_full if line < self._ext_rows else self._col_full
 
-    def _cell_at(self, line: int, position: int) -> int:
+    def cell_at(self, line: int, position: int) -> int:
+        """Cell id at ``position`` within ``line``."""
         if line < self._ext_rows:
             return line * self._ext_cols + position
         return position * self._ext_cols + (line - self._ext_rows)
 
+    def cells_of(self, line: int, mask: int) -> list[int]:
+        """Cell ids of the set bits of ``mask`` on ``line``, ascending."""
+        cell_at = self.cell_at
+        return [cell_at(line, pos) for pos in bit_positions(mask)]
+
+    def cells_in(self, masks: dict[int, int]) -> set[int]:
+        """Cell ids set in per-line ``masks`` (the inverse of :meth:`mark`)."""
+        cells: set[int] = set()
+        for line, mask in masks.items():
+            cells.update(self.cells_of(line, mask))
+        return cells
+
     def lines_of(self, cid: int) -> tuple[int, int]:
         return lines_of_cell(cid, self._ext_rows, self._ext_cols)
+
+    def mark(self, masks: dict[int, int], cells: Iterable[int]) -> None:
+        """OR the custody-line cells of ``cells`` into per-line ``masks``.
+
+        Same layout as the held-cell masks: a cell on two custody lines
+        is set in both, and cells on no custody line are ignored.
+        ``cells`` is iterated exactly once. Cells that all lie on one
+        line (a seed parcel, a boost entry) are first folded into a
+        single mask of that line, so the per-cell work is one shift.
+        """
+        cells = tuple(cells)
+        if not cells:
+            return
+        ext_rows = self._ext_rows
+        ext_cols = self._ext_cols
+        low = min(cells)
+        row = low // ext_cols
+        line = -1
+        if max(cells) < (row + 1) * ext_cols:
+            line = row
+            positions = map((row * ext_cols).__rsub__, cells)
+        elif len(set(map(ext_cols.__rmod__, cells))) == 1:
+            line = ext_rows + low - row * ext_cols
+            positions = map(ext_cols.__rfloordiv__, cells)
+        if line >= 0:
+            bits = 0
+            for pos in positions:
+                bits |= 1 << pos
+            self._mark_line(masks, line, bits)
+            return
+        line_set = self._masks
+        get = masks.get
+        for cid in cells:
+            row = cid // ext_cols
+            col = cid - row * ext_cols
+            if row in line_set:
+                masks[row] = get(row, 0) | (1 << col)
+            col_line = ext_rows + col
+            if col_line in line_set:
+                masks[col_line] = get(col_line, 0) | (1 << row)
+
+    def _mark_line(self, masks: dict[int, int], line: int, bits: int) -> None:
+        """OR positions ``bits`` of ``line`` into ``masks``, plus the one
+        crossing bit on each perpendicular custody line."""
+        ext_rows = self._ext_rows
+        if line in self._masks:
+            masks[line] = masks.get(line, 0) | bits
+        if line < ext_rows:
+            bit = 1 << line
+            for col in self.custody.cols:
+                if bits >> col & 1:
+                    masks[ext_rows + col] = masks.get(ext_rows + col, 0) | bit
+        else:
+            bit = 1 << (line - ext_rows)
+            for row in self.custody.rows:
+                if bits >> row & 1:
+                    masks[row] = masks.get(row, 0) | bit
 
     # ------------------------------------------------------------------
     # mutation
@@ -119,11 +192,10 @@ class SlotCellState:
         further custody lines at their intersections, so the closure
         loops to fixpoint (cheap: at most 16 lines).
         """
-        have = self.have
+        masks = self._masks
+        get = masks.get
+        off_line = self._off_line
         samples = self.samples
-        line_set = self._line_set
-        counts = self._counts
-        line_len = self._line_len
         on_store = self.on_store
         ext_rows = self._ext_rows
         ext_cols = self._ext_cols
@@ -131,154 +203,131 @@ class SlotCellState:
         dup_count = 0
         touched = False
         for cid in cells:
-            if cid in have:
+            row = cid // ext_cols
+            col = cid - row * ext_cols
+            col_line = ext_rows + col
+            mask = get(row)
+            col_mask = get(col_line)
+            if mask is not None:
+                bit = 1 << col
+                if mask & bit:
+                    dup_count += 1
+                    continue
+                masks[row] = mask | bit
+                if col_mask is not None:
+                    masks[col_line] = col_mask | (1 << row)
+                touched = True
+            elif col_mask is not None:
+                bit = 1 << row
+                if col_mask & bit:
+                    dup_count += 1
+                    continue
+                masks[col_line] = col_mask | bit
+                touched = True
+            elif cid in off_line:
                 dup_count += 1
                 continue
-            have.add(cid)
+            else:
+                off_line.add(cid)
             new_count += 1
             if cid in samples:
                 self._samples_missing -= 1
-            row = cid // ext_cols
-            if row in line_set:
-                count = counts[row] + 1
-                counts[row] = count
-                touched = True
-                if count == line_len[row]:
-                    self._incomplete_lines -= 1
-            col_line = ext_rows + cid - row * ext_cols
-            if col_line in line_set:
-                count = counts[col_line] + 1
-                counts[col_line] = count
-                touched = True
-                if count == line_len[col_line]:
-                    self._incomplete_lines -= 1
             if on_store is not None:
                 on_store(cid)
         if dup_count:
             self.duplicates_received += dup_count
-        # a line can only have become fillable if one of its counters
-        # moved; the closure left every line either complete or below
-        # half, so an untouched batch cannot trigger reconstruction
+        # a line can only have become fillable if its mask moved; the
+        # closure left every line either complete or below half, so an
+        # untouched batch cannot trigger reconstruction
         reconstructed = self._reconstruct_closure() if touched else 0
         return new_count, reconstructed
 
-    def _store(self, cid: int) -> None:
-        """Store one cell (reconstruction path; ingest inlines this)."""
-        self.have.add(cid)
-        if cid in self.samples:
-            self._samples_missing -= 1
-        counts = self._counts
-        line_len = self._line_len
-        row = cid // self._ext_cols
-        if row in self._line_set:
-            count = counts[row] + 1
-            counts[row] = count
-            if count == line_len[row]:
-                self._incomplete_lines -= 1
-        col_line = self._ext_rows + cid - row * self._ext_cols
-        if col_line in self._line_set:
-            count = counts[col_line] + 1
-            counts[col_line] = count
-            if count == line_len[col_line]:
-                self._incomplete_lines -= 1
-        if self.on_store is not None:
-            self.on_store(cid)
-
     def _reconstruct_closure(self) -> int:
+        """Complete every custody line at or above half, to fixpoint.
+
+        Filling a line sets its mask to full and, for each crossing
+        custody line, the one bit where they meet. ``on_store`` fires
+        per newly set cell in ascending position order, and is re-read
+        per cell so a sink that detaches itself stops the calls.
+        """
         reconstructed = 0
-        counts = self._counts
-        line_len = self._line_len
-        half = self._half
-        have = self.have
-        ext_rows = self._ext_rows
-        ext_cols = self._ext_cols
-        custody_lines = self.custody_lines
-        store = self._store
+        masks = self._masks
         progress = True
         while progress:
             progress = False
-            for line in custody_lines:
-                count = counts[line]
-                if count != line_len[line] and count >= half[line]:
-                    if self.on_store is None:
-                        # Bulk fill: complete the line with set arithmetic
-                        # instead of per-cell stores. The filled line
-                        # crosses every other custody line at exactly one
-                        # cell, so crossing counters need at most one
-                        # point check each. Equivalent to the per-cell
-                        # path — `have` is membership-only, so insertion
-                        # order is unobservable.
-                        missing = set(cells_of_line(line, ext_rows, ext_cols))
-                        missing -= have
-                        have |= missing
-                        reconstructed += len(missing)
-                        self._samples_missing -= len(self.samples & missing)
-                        counts[line] = line_len[line]
-                        self._incomplete_lines -= 1
-                        is_row = line < ext_rows
-                        for other in custody_lines:
-                            if is_row:
-                                if other < ext_rows:
-                                    continue
-                                cid = line * ext_cols + (other - ext_rows)
-                            else:
-                                if other >= ext_rows:
-                                    continue
-                                cid = other * ext_cols + (line - ext_rows)
-                            if cid in missing:
-                                crossing = counts[other] + 1
-                                counts[other] = crossing
-                                if crossing == line_len[other]:
-                                    self._incomplete_lines -= 1
-                    else:
-                        # A pending-query sink is attached: keep the
-                        # per-cell path so on_store fires once per cell
-                        # in natural line order, exactly as before.
-                        for cid in cells_of_line(line, ext_rows, ext_cols):
-                            if cid not in have:
-                                store(cid)
-                                reconstructed += 1
-                    progress = True
-        self.cells_reconstructed += reconstructed
+            for line in self.custody_lines:
+                mask = masks[line]
+                full = self.full_mask(line)
+                if mask == full or mask.bit_count() < full.bit_length() // 2:
+                    continue
+                missing = full ^ mask
+                self._mark_line(masks, line, missing)
+                reconstructed += missing.bit_count()
+                if self.on_store is not None:
+                    for cid in self.cells_of(line, missing):
+                        on_store = self.on_store
+                        if on_store is None:
+                            break
+                        on_store(cid)
+                progress = True
+        self._incomplete_lines = sum(
+            1 for line in self.custody_lines if masks[line] != self.full_mask(line)
+        )
+        if reconstructed:
+            self.cells_reconstructed += reconstructed
+            self._samples_missing = len(self.samples) - len(self.held_of(self.samples))
         return reconstructed
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def held_of(self, cells: Iterable[int]) -> set[int]:
+        """The members of ``cells`` this node holds."""
+        get = self._masks.get
+        off_line = self._off_line
+        ext_rows = self._ext_rows
+        ext_cols = self._ext_cols
+        held: set[int] = set()
+        for cid in cells:
+            row = cid // ext_cols
+            pos = cid - row * ext_cols
+            mask = get(row)
+            if mask is None:
+                mask = get(ext_rows + pos)
+                if mask is None:
+                    if cid in off_line:
+                        held.add(cid)
+                    continue
+                pos = row
+            if mask >> pos & 1:
+                held.add(cid)
+        return held
+
     def has_cell(self, cid: int) -> bool:
-        return cid in self.have
+        return bool(self.held_of((cid,)))
 
     def has_all(self, cells: Iterable[int]) -> bool:
-        have = self.have
-        return all(cid in have for cid in cells)
+        cells = set(cells)
+        return len(self.held_of(cells)) == len(cells)
 
     def line_count(self, line: int) -> int:
-        return self._counts[line]
+        return self._masks[line].bit_count()
 
     def line_complete(self, line: int) -> bool:
-        return self._counts[line] == self._line_len[line]
+        return self._masks[line] == self.full_mask(line)
 
     def line_deficit(self, line: int) -> int:
         """Cells still needed before the line is reconstructable."""
-        deficit = self._half[line] - self._counts[line]
+        deficit = self.full_mask(line).bit_length() // 2 - self._masks[line].bit_count()
         return deficit if deficit > 0 else 0
+
+    def missing_mask(self, line: int) -> int:
+        """Positions of ``line`` not held, as a bitmask."""
+        return self.full_mask(line) ^ self._masks[line]
 
     def missing_in_line(self, line: int) -> list[int]:
         """Missing cell ids of a custody line, in position order."""
-        length = self._line_len[line]
-        if self._counts[line] == length:
-            return []
-        have = self.have
-        if line < self._ext_rows:
-            base = line * self._ext_cols
-            return [base + pos for pos in range(length) if base + pos not in have]
-        col = line - self._ext_rows
-        ext_cols = self._ext_cols
-        return [
-            pos * ext_cols + col
-            for pos in range(length)
-            if pos * ext_cols + col not in have
-        ]
+        return self.cells_of(line, self.missing_mask(line))
 
     @property
     def consolidation_complete(self) -> bool:
@@ -295,5 +344,5 @@ class SlotCellState:
         return self._incomplete_lines == 0 and self._samples_missing == 0
 
     def missing_samples(self) -> set[int]:
-        have = self.have
-        return {cid for cid in self.samples if cid not in have}
+        held = self.held_of(self.samples)
+        return {cid for cid in self.samples if cid not in held}

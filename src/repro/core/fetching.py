@@ -29,6 +29,14 @@ It proceeds in rounds; round ``i`` has timeout ``t_i`` (400, 200, then
 Responses can arrive in *any* later round (queried nodes buffer what
 they cannot serve yet and never NACK); per-round telemetry (Table 1)
 distinguishes replies received before and after their round's timeout.
+
+Cell state: the fetcher's long-lived cell sets — the boost map and the
+declared-inbound cells — are per-custody-line integer bitmasks in the
+layout of :class:`repro.core.custody.SlotCellState` (bit *i* is
+position *i* within the line). Targeting works on masks directly:
+``missing & boost``, plain missing cells, then ``missing & inbound``.
+Only the per-round target set and candidate cell sets are plain sets,
+and they live for one round.
 """
 
 from __future__ import annotations
@@ -38,12 +46,7 @@ import random
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
 
-try:  # vectorized candidate scan; the pure-python path covers absence
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
-from repro.core.custody import SlotCellState
+from repro.core.custody import SlotCellState, bit_positions
 from repro.obs.events import TraceRecorder
 from repro.params import FetchSchedule, RetryPolicy
 from repro.sim.engine import Event, Simulator
@@ -89,6 +92,9 @@ def score_peers(
 ) -> dict[int, float]:
     """Algorithm 1 lines 4-9: cells-of-interest count plus boost.
 
+    ``boost`` maps a peer to cells the boost map locates at it; only
+    those in ``targets`` count (the fetcher passes each boosted
+    candidate's seeded target cells, already ANDed with the targets).
     ``weights`` (peer -> multiplier in ``(0, 1]``, default 1.0) folds
     per-peer reputation into the score: a peer that served corrupt
     cells or stalled past round deadlines is out-scored by clean peers
@@ -187,7 +193,6 @@ class AdaptiveFetcher:
         "max_cells_per_query",
         "queried",
         "query_round",
-        "_cust_arrays",
         "rounds",
         "started",
         "finished",
@@ -270,14 +275,15 @@ class AdaptiveFetcher:
         self.observe_latency = observe_latency
         self._open_queries: dict[int, tuple[int, int]] = {}  # peer -> (req, round)
 
-        self.boost: dict[int, set[int]] = {}
-        self._boost_cells: set[int] = set()
-        self.inbound: set[int] = set()
+        # Boost map and inbound cells as per-custody-line bitmasks in the
+        # layout of SlotCellState.mark: peer -> {line: mask} for the
+        # boost map, line -> mask for its union and for inbound.
+        self.boost: dict[int, dict[int, int]] = {}
+        self._boost_cells: dict[int, int] = {}
+        self.inbound: dict[int, int] = {}
         self.max_cells_per_query = max_cells_per_query
         self.queried: set[int] = set()
         self.query_round: dict[int, int] = {}
-        # per-line custodian lists as int64 arrays (vectorized scan)
-        self._cust_arrays: dict[int, object] = {}
         self.rounds: list[RoundStats] = []
         self.started = False
         self.finished = False
@@ -288,22 +294,37 @@ class AdaptiveFetcher:
     # boost map
     # ------------------------------------------------------------------
     def add_boost(self, peer: int, cells: Iterable[int]) -> None:
-        """Merge consolidation-boost info arriving with seed parcels."""
+        """Merge consolidation-boost info arriving with seed parcels.
+
+        ``cells`` is read once. Boost entries are cells of this node's
+        custody lines (the builder's CB map for those lines); cells off
+        the custody lines carry no boost.
+        """
         bucket = self.boost.get(peer)
         if bucket is None:
-            self.boost[peer] = set(cells)
-        else:
-            bucket.update(cells)
-        self._boost_cells.update(cells)
+            bucket = self.boost[peer] = {}
+        self.state.mark(bucket, cells)
+        union = self._boost_cells
+        for line, mask in bucket.items():
+            union[line] = union.get(line, 0) | mask
 
     def add_inbound(self, cells: Iterable[int]) -> None:
         """Cells the builder declared (or delivered) as seeded to us.
 
         Excluded from fetch targets: re-requesting data already in
         flight from the builder would only manufacture duplicates
-        (Table 1 reports zero round-1 duplicates).
+        (Table 1 reports zero round-1 duplicates). Only custody-line
+        cells are kept: those are the only ones targeted by line.
         """
-        self.inbound.update(cells)
+        self.state.mark(self.inbound, cells)
+
+    def boosted_cells(self, peer: int) -> set[int]:
+        """Cells the boost map locates at ``peer``."""
+        return self.state.cells_in(self.boost.get(peer, {}))
+
+    def inbound_cells(self) -> set[int]:
+        """Custody-line cells declared inbound from the builder."""
+        return self.state.cells_in(self.inbound)
 
     # ------------------------------------------------------------------
     # tracing (no-ops unless a tracer is attached)
@@ -400,34 +421,36 @@ class AdaptiveFetcher:
         hatch — and become fetchable again.
 
         Within a line, prefer boost-located cells (retrievable *now*),
-        then other non-inbound cells, then stale inbound.
+        then other non-inbound cells, then stale inbound, each in
+        ascending position order.
         """
-        targets = set(self.state.missing_samples())
+        state = self.state
+        targets = set(state.missing_samples())
         if not self.fetch_custody:
             return targets
         trust_inbound = round_index < self.schedule.settle_round
         inbound = self.inbound
-        for line in self.state.custody_lines:
-            deficit = self.state.line_deficit(line)
+        boosted = self._boost_cells
+        cell_at = state.cell_at
+        for line in state.custody_lines:
+            deficit = state.line_deficit(line)
             if deficit <= 0:
                 continue
-            missing = self.state.missing_in_line(line)
-            boosted_out = []
-            plain_out = []
-            inbound_cells = []
-            for cid in missing:
-                if cid in inbound:
-                    inbound_cells.append(cid)
-                elif cid in self._boost_cells:
-                    boosted_out.append(cid)
-                else:
-                    plain_out.append(cid)
+            missing = state.missing_mask(line)
+            late = missing & inbound.get(line, 0)
+            ready = missing ^ late
+            boost = ready & boosted.get(line, 0)
             if trust_inbound:
-                deficit = max(0, deficit - len(inbound_cells))
-                picked = (boosted_out + plain_out)[:deficit]
+                deficit -= late.bit_count()
+                tiers: tuple[int, ...] = (boost, ready ^ boost)
             else:
-                picked = (boosted_out + plain_out + inbound_cells)[:deficit]
-            targets.update(picked)
+                tiers = (boost, ready ^ boost, late)
+            for tier in tiers:
+                for pos in bit_positions(tier):
+                    if deficit <= 0:
+                        break
+                    targets.add(cell_at(line, pos))
+                    deficit -= 1
         return targets
 
     # ------------------------------------------------------------------
@@ -456,7 +479,7 @@ class AdaptiveFetcher:
         targets = self.round_targets(index)
         stats.targets = len(targets)
         settle = self.schedule.settle_round
-        candidate_cells = self._candidate_cells(targets)
+        candidate_cells, seeded, weights = self._candidate_cells(targets)
         if (
             not candidate_cells
             and targets
@@ -487,7 +510,7 @@ class AdaptiveFetcher:
                 recycled = self._recycle_unresponsive()
                 if recycled:
                     self._trace("query_recycle", pool="unresponsive", count=recycled)
-                    candidate_cells = self._candidate_cells(targets)
+                    candidate_cells, seeded, weights = self._candidate_cells(targets)
                 if not candidate_cells:
                     # Still nothing: the remaining targets' custodians all
                     # *answered*, yet the cells never materialized — corrupt
@@ -498,7 +521,7 @@ class AdaptiveFetcher:
                     recycled = self._recycle_responded()
                     if recycled:
                         self._trace("query_recycle", pool="responded", count=recycled)
-                        candidate_cells = self._candidate_cells(targets)
+                        candidate_cells, seeded, weights = self._candidate_cells(targets)
                 if candidate_cells and policy is not None:
                     # back off before re-querying: the recycled peers go
                     # back in the pool now, but the wave itself runs
@@ -545,10 +568,7 @@ class AdaptiveFetcher:
             )
             return
 
-        weights = None
-        if self.peer_weight is not None:
-            weights = {peer: self.peer_weight(peer) for peer in candidate_cells}
-        scores = score_peers(targets, candidate_cells, self.boost, self.cb_boost, weights)
+        scores = score_peers(targets, candidate_cells, seeded, self.cb_boost, weights)
         peers = list(candidate_cells)
         self.rng.shuffle(peers)  # unbiased tie-break among equal scores
         peers.sort(key=lambda p: scores[p], reverse=True)
@@ -592,14 +612,27 @@ class AdaptiveFetcher:
             self.schedule.timeout(index), self._run_round, index + 1
         )
 
-    def _candidate_cells(self, targets: set[int]) -> dict[int, set[int]]:
+    def _candidate_cells(
+        self, targets: set[int]
+    ) -> tuple[dict[int, set[int]], dict[int, set[int]], dict[int, float] | None]:
         """Queryable peers mapped to the cells to ask them for.
 
-        Peers in the consolidation-boost map are offered only the
-        cells the builder actually seeded to them — those are
-        servable *immediately*; their other custody cells would only
-        arrive after the peer's own consolidation. Unboosted peers
-        are fallback holders for anything on their lines.
+        Returns ``(candidates, seeded, weights)``. Peers in the
+        consolidation-boost map are offered only the cells the builder
+        actually seeded to them (``seeded``: their boost masks ANDed
+        with the targets line by line) — those are servable
+        *immediately*; their other custody cells would only arrive after
+        the peer's own consolidation. Unboosted peers are fallback
+        holders for anything on their lines. ``weights`` holds each
+        candidate's ``peer_weight`` (None without that hook).
+
+        Candidates appear in first-encounter order: missing lines in
+        order of first appearance in ``targets``, then each line's
+        custodians in index order. Most custodians share exactly one
+        line with us, so they reference the line's missing set directly
+        instead of copying it, and multi-line unions are computed once
+        per distinct line combination. The sets are read-only downstream
+        (plan_queries intersects into fresh sets), so sharing is safe.
         """
         missing_by_line: dict[int, set[int]] = {}
         params = self.state.params
@@ -619,143 +652,60 @@ class AdaptiveFetcher:
                 missing_by_line[col_line] = {cid}
             else:
                 bucket.add(cid)
-        if _np is not None and len(missing_by_line) > 8:
-            candidates = self._scan_candidates_np(missing_by_line)
-        else:
-            candidates = self._scan_candidates_py(missing_by_line)
-        for peer, boosted in self.boost.items():
-            if peer in candidates:
-                seeded_targets = boosted & targets
-                if seeded_targets:
-                    candidates[peer] = seeded_targets
-        return candidates
 
-    def _scan_candidates_py(
-        self, missing_by_line: dict[int, set[int]]
-    ) -> dict[int, set[int]]:
-        """Pure-python candidate scan (reference path, small inputs).
-
-        Gathers each peer's missing lines first (first-encounter order),
-        then materializes cell sets once per peer: most custodians share
-        exactly one line with us, so they can reference the line's
-        missing set directly instead of copying it, and multi-line
-        unions are computed once per distinct line combination. The
-        sets are read-only downstream (plan_queries intersects into
-        fresh sets), so sharing is safe — and this turns the dominant
-        O(custodians x line_size) copy work into O(custodians).
-        """
-        peer_lines: dict[int, list[int]] = {}
+        # one pass over (line, custodian) pairs; exclusion and weight
+        # are resolved once, when a peer is first encountered
+        first_line: dict[int, int] = {}
+        more_lines: dict[int, list[int]] = {}
+        weights: dict[int, float] | None = None
         exclude = self.exclude_peer
-        queried = self.queried
+        weight = self.peer_weight
+        if weight is not None:
+            weights = {}
         line_custodians = self.line_custodians
-        skip: set[int] = set(queried)
+        skip: set[int] = set(self.queried)
         skip.add(self.self_id)
         for line in missing_by_line:
             for peer in line_custodians(line):
                 if peer in skip:
                     continue
-                lines = peer_lines.get(peer)
-                if lines is None:
-                    if exclude is not None and exclude(peer):
-                        skip.add(peer)
-                        continue
-                    peer_lines[peer] = [line]
+                if peer in first_line:
+                    lines = more_lines.get(peer)
+                    if lines is None:
+                        more_lines[peer] = [first_line[peer], line]
+                    else:
+                        lines.append(line)
+                elif exclude is not None and exclude(peer):
+                    skip.add(peer)
                 else:
-                    lines.append(line)
-        candidates: dict[int, set[int]] = {}
+                    first_line[peer] = line
+                    if weights is not None:
+                        weights[peer] = weight(peer)
+        candidates = {peer: missing_by_line[line] for peer, line in first_line.items()}
         union_cache: dict[tuple[int, ...], set[int]] = {}
-        for peer, lines in peer_lines.items():
-            candidates[peer] = self._peer_cells(lines, missing_by_line, union_cache)
-        return candidates
+        for peer, lines in more_lines.items():
+            key = tuple(lines)
+            union = union_cache.get(key)
+            if union is None:
+                union = union_cache[key] = set().union(*[missing_by_line[ln] for ln in key])
+            candidates[peer] = union
 
-    def _scan_candidates_np(
-        self, missing_by_line: dict[int, set[int]]
-    ) -> dict[int, set[int]]:
-        """Vectorized candidate scan, equivalent to the python path.
-
-        At scale the (missing line, custodian) pair stream is tens of
-        thousands of entries per round; the dedup into first-encounter
-        peer order is done with array ops instead of a python loop.
-        ``np.unique(..., return_index=True)`` yields each peer's first
-        pair index, so sorting unique peers by that index reproduces
-        the exact insertion order of the reference scan.
-        """
-        np = _np
-        arrays = self._cust_arrays
-        line_custodians = self.line_custodians
-        per_line = []
-        lines_used = []
-        for line in missing_by_line:
-            arr = arrays.get(line)
-            if arr is None:
-                arr = arrays[line] = np.asarray(line_custodians(line), dtype=np.int64)
-            if arr.shape[0]:
-                per_line.append(arr)
-                lines_used.append(line)
-        if not per_line:
-            return {}
-        peers = np.concatenate(per_line)
-        counts = np.fromiter(
-            (a.shape[0] for a in per_line), dtype=np.int64, count=len(per_line)
-        )
-        line_ids = np.repeat(
-            np.fromiter(lines_used, dtype=np.int64, count=len(lines_used)), counts
-        )
-        bound = int(peers.max()) + 1
-        skipmask = np.zeros(bound, dtype=bool)
-        queried = self.queried
-        if queried:
-            qa = np.fromiter(queried, dtype=np.int64, count=len(queried))
-            skipmask[qa[qa < bound]] = True
-        if self.self_id < bound:
-            skipmask[self.self_id] = True
-        keep = ~skipmask[peers]
-        peers = peers[keep]
-        if not peers.shape[0]:
-            return {}
-        line_ids = line_ids[keep]
-        uniq, first_idx = np.unique(peers, return_index=True)
-        encounter = uniq[np.argsort(first_idx)]
-        order = np.argsort(peers, kind="stable")
-        sorted_peers = peers[order]
-        sorted_lines = line_ids[order].tolist()
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_peers[1:] != sorted_peers[:-1]))
-        )
-        ends = np.concatenate((starts[1:], [sorted_peers.shape[0]]))
-        spans: dict[int, tuple[int, int]] = {}
-        span_peers = sorted_peers[starts].tolist()
-        starts_list = starts.tolist()
-        ends_list = ends.tolist()
-        for i, peer in enumerate(span_peers):
-            spans[peer] = (starts_list[i], ends_list[i])
-        exclude = self.exclude_peer
-        candidates: dict[int, set[int]] = {}
-        union_cache: dict[tuple[int, ...], set[int]] = {}
-        for peer in encounter.tolist():
-            if exclude is not None and exclude(peer):
-                continue
-            start, end = spans[peer]
-            candidates[peer] = self._peer_cells(
-                sorted_lines[start:end], missing_by_line, union_cache
-            )
-        return candidates
-
-    @staticmethod
-    def _peer_cells(
-        lines: list[int],
-        missing_by_line: dict[int, set[int]],
-        union_cache: dict[tuple[int, ...], set[int]],
-    ) -> set[int]:
-        """Cells one peer can be asked for: union of its missing lines."""
-        if len(lines) == 1:
-            return missing_by_line[lines[0]]
-        key = tuple(lines)
-        cells = union_cache.get(key)
-        if cells is None:
-            sets = [missing_by_line[line] for line in lines]
-            cells = union_cache[key] = set().union(*sets)
-        return cells
+        seeded: dict[int, set[int]] = {}
+        if self.boost and candidates:
+            state = self.state
+            target_masks: dict[int, int] = {}
+            state.mark(target_masks, targets)
+            for peer, bucket in self.boost.items():
+                if peer not in candidates:
+                    continue
+                cells: set[int] = set()
+                for line, mask in bucket.items():
+                    hit = mask & target_masks.get(line, 0)
+                    if hit:
+                        cells.update(state.cells_of(line, hit))
+                if cells:
+                    candidates[peer] = seeded[peer] = cells
+        return candidates, seeded, weights
 
     def _retry_wave_allowed(self, policy: RetryPolicy, index: int) -> bool:
         """Can one more retry wave still pay off before the deadline?

@@ -366,7 +366,7 @@ class PandasNode:
                 self.ctx.params.consolidation_timer,
                 lambda: self._fallback_start(slot),
             )
-        held = msg.cells & state.cells.have
+        held = state.cells.held_of(msg.cells)
         if held:
             self._respond(slot, msg.epoch, src, tuple(sorted(held)))
         remainder = msg.cells - held

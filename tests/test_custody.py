@@ -23,10 +23,10 @@ def state(params):
     return SlotCellState(params, custody, samples)
 
 
-def test_initial_state_empty(state):
+def test_initial_state_empty(state, params):
     assert not state.consolidation_complete
     assert not state.sampling_complete
-    assert len(state.have) == 0
+    assert not any(state.has_cell(cid) for cid in range(params.total_cells))
     assert state.missing_samples() == {200, 201, 202, 203}
 
 

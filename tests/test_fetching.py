@@ -135,6 +135,14 @@ class TestRoundTargets:
         targets = fetcher.round_targets()
         assert set(boosted) <= targets
 
+    def test_boost_accepts_one_shot_iterable(self):
+        """add_boost reads its argument once: a generator still boosts."""
+        fetcher, state, _sim, _sent = make_fetcher()
+        boosted = [4, 5, 6]
+        fetcher.add_boost(77, (cid for cid in boosted))
+        assert fetcher.boosted_cells(77) == set(boosted)
+        assert set(boosted) <= fetcher.round_targets()
+
     def test_targets_shrink_with_held_cells(self):
         fetcher, state, _sim, _sent = make_fetcher()
         state.add_cells([0, 1, 2])

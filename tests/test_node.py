@@ -90,7 +90,7 @@ def test_inbound_cells_excluded_from_targets():
     )
     node._on_seed(21, msg)
     fetcher = node.slot_fetcher(0)
-    assert set(inbound_declared) <= fetcher.inbound
+    assert set(inbound_declared) <= fetcher.inbound_cells()
     # inbound cells that are not wanted for other reasons (samples, a
     # second custody line crossing them) must not be targeted: the
     # row's deficit is fully coverable by non-inbound cells
@@ -163,8 +163,8 @@ def test_boost_excludes_own_entries():
     )
     node._on_seed(21, msg)
     fetcher = node.slot_fetcher(0)
-    assert 0 not in fetcher.boost
-    assert fetcher.boost[4] == {10}
+    assert not fetcher.boosted_cells(0)
+    assert fetcher.boosted_cells(4) == {10}
 
 
 def test_drop_slot_releases_state():
