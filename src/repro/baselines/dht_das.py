@@ -125,8 +125,8 @@ class DhtDasScenario(BaseScenario):
                 state.fetched_parcels.add(parcel)
                 if state.fetched_parcels >= state.wanted_parcels:
                     state.done = True
-                    self.metrics.mark_sampling(
-                        state.slot, node_id, self.ctx.since_slot_start(state.slot)
+                    self.obs.mark(
+                        "sampling", state.slot, node_id, self.ctx.since_slot_start(state.slot)
                     )
                 return
             # parcel not stored yet (or holders unresponsive): retry

@@ -132,7 +132,7 @@ class GossipDasNode:
         ctx = self.scenario.ctx
         if not state.started:
             state.started = True
-            ctx.metrics.mark_seeding(slot, self.node_id, ctx.since_slot_start(slot))
+            ctx.obs.mark("seeding", slot, self.node_id, ctx.since_slot_start(slot))
             state.fetcher.start()
         state.cells.add_cells(cells)
         self._after_cells_changed(slot, state)
@@ -181,10 +181,10 @@ class GossipDasNode:
         now_rel = ctx.since_slot_start(slot)
         if not state.consolidation_marked and state.cells.consolidation_complete:
             state.consolidation_marked = True
-            ctx.metrics.mark_consolidation(slot, self.node_id, now_rel)
+            ctx.obs.mark("consolidation", slot, self.node_id, now_rel)
         if not state.sampling_marked and state.cells.sampling_complete:
             state.sampling_marked = True
-            ctx.metrics.mark_sampling(slot, self.node_id, now_rel)
+            ctx.obs.mark("sampling", slot, self.node_id, now_rel)
 
 
     def drop_slot(self, slot: int) -> None:

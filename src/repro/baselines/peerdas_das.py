@@ -222,7 +222,7 @@ class PeerDasNode:
         ctx = self.scenario.ctx
         if not state.started:
             state.started = True
-            ctx.metrics.mark_seeding(slot, self.node_id, ctx.since_slot_start(slot))
+            ctx.obs.mark("seeding", slot, self.node_id, ctx.since_slot_start(slot))
         params = ctx.params
         state.cells.add_cells(
             cells_of_line(params.ext_rows + column, params.ext_rows, params.ext_cols)
@@ -260,7 +260,7 @@ class PeerDasNode:
         params = ctx.params
         if not state.started:
             state.started = True
-            ctx.metrics.mark_seeding(msg.slot, self.node_id, ctx.since_slot_start(msg.slot))
+            ctx.obs.mark("seeding", msg.slot, self.node_id, ctx.since_slot_start(msg.slot))
         for col in msg.columns:
             state.cells.add_cells(
                 cells_of_line(params.ext_rows + col, params.ext_rows, params.ext_cols)
@@ -272,12 +272,12 @@ class PeerDasNode:
         now_rel = ctx.since_slot_start(slot)
         if not state.consolidation_marked and state.cells.consolidation_complete:
             state.consolidation_marked = True
-            ctx.metrics.mark_consolidation(slot, self.node_id, now_rel)
+            ctx.obs.mark("consolidation", slot, self.node_id, now_rel)
         # "sampling done" is block acceptance: every sampled subnet's
         # columns held (custody included), not just the extra samples
         if not state.sampling_marked and state.cells.complete:
             state.sampling_marked = True
-            ctx.metrics.mark_sampling(slot, self.node_id, now_rel)
+            ctx.obs.mark("sampling", slot, self.node_id, now_rel)
 
     # ------------------------------------------------------------------
     # ByRoot fallback waves

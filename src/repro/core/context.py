@@ -1,9 +1,9 @@
 """Shared per-run protocol context.
 
 Bundles the simulation engine, network, parameters, assignment
-function, metrics sink and RNG registry that every PANDAS participant
-needs, plus slot bookkeeping (start times, epoch mapping) maintained
-by the experiment driver.
+function, metrics sink, observation bus and RNG registry that every
+PANDAS participant needs, plus slot bookkeeping (start times, epoch
+mapping) maintained by the experiment driver.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from collections.abc import Callable
 
 from repro.core.assignment import AssignmentIndex, CellAssignment
 from repro.net.transport import Network
-from repro.obs.events import TraceRecorder
-from repro.obs.telemetry import Telemetry
+from repro.obs.bus import ObservationBus
 from repro.params import PandasParams
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRecorder
@@ -39,23 +38,15 @@ class ProtocolContext:
     # signature binds it — Section 6.1). Nodes reject seed parcels from
     # any other source; ``None`` disables the check (unit harnesses).
     builder_id: int | None = None
-    # Structured event tracing (repro.obs). ``None`` — the default —
-    # disables tracing with zero per-event overhead; participants guard
-    # every emission on it. A recorder here is pure observation and
-    # never changes simulation behavior.
-    tracer: TraceRecorder | None = None
-    # Dimensional run-health telemetry (repro.obs.telemetry). Same
-    # contract as the tracer: pure observation, behavior-neutral, and
-    # ``None`` by default so instrumented call sites cost one attribute
-    # read when telemetry is off.
-    telemetry: Telemetry | None = None
+    # Where participants report phase marks, defense/shed/fault/queue
+    # records, fetch-round latency and trace events (repro.obs.bus).
+    # Scenarios pass the bus they wired to the transport, tracer and
+    # telemetry; left unset, a bus that only writes ``metrics`` is built.
+    obs: ObservationBus = None  # type: ignore[assignment]
 
-    def trace(self, kind: str, *, slot: int = -1, node: int = -1, **data) -> None:
-        """Emit one trace event at the current simulated time (no-op
-        when tracing is off or ``kind`` is filtered out)."""
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled(kind):
-            tracer.emit(kind, t=self.sim.now, slot=slot, node=node, **data)
+    def __post_init__(self) -> None:
+        if self.obs is None:
+            self.obs = ObservationBus(self.sim, self.metrics, builder_id=self.builder_id)
 
     def epoch_of(self, slot: int) -> int:
         return slot // self.params.slots_per_epoch

@@ -202,11 +202,9 @@ class PandasNode:
                 if params.fetch_retry is not None
                 else None
             ),
-            tracer=ctx.tracer,
+            tracer=ctx.obs.tracer,
             slot=slot,
-            observe_latency=(
-                ctx.telemetry.on_round_latency if ctx.telemetry is not None else None
-            ),
+            observe_latency=ctx.obs.round_latency,
         )
         return _SlotState(cells=cells, fetcher=fetcher, store_sink=store_sink)
 
@@ -214,11 +212,11 @@ class PandasNode:
     # observability (repro.obs) — all no-ops without a tracer
     # ------------------------------------------------------------------
     def _trace(self, kind: str, slot: int = -1, **data) -> None:
-        self.ctx.trace(kind, slot=slot, node=self.node_id, **data)
+        self.ctx.obs.trace(kind, slot=slot, node=self.node_id, **data)
 
     def _defense(self, kind: str, amount: float = 1.0, slot: int = -1) -> None:
         """Count one defense action in the metrics and the trace."""
-        self.ctx.metrics.record_defense(kind, amount)
+        self.ctx.obs.defense(kind, amount)
         self._trace("defense", slot=slot, defense=kind, amount=amount)
 
     # ------------------------------------------------------------------
@@ -279,7 +277,7 @@ class PandasNode:
 
     def _shed(self, kind: str, amount: float = 1.0, slot: int = -1) -> None:
         """Count one load-shedding action in the metrics and the trace."""
-        self.ctx.metrics.record_shed(kind, amount)
+        self.ctx.obs.shed(kind, amount)
         self._trace("load_shed", slot=slot, shed=kind, amount=amount)
 
     def _dispatch_verified(self, src: int, msg, cell_count: int, handler) -> None:
@@ -313,9 +311,8 @@ class PandasNode:
         if msg.cells and not state.seed_received:
             state.seed_received = True
             at = self.ctx.since_slot_start(slot)
-            self.ctx.metrics.mark_seeding(slot, self.node_id, at)
             self._trace("seed_recv", slot=slot, at=at)
-            self._trace("phase", slot=slot, phase="seeding", at=at)
+            self.ctx.obs.mark("seeding", slot, self.node_id, at)
         state.seed_messages_seen += 1
         state.seed_messages_expected = msg.total_messages
         for peer, cells in msg.boost:
@@ -393,7 +390,7 @@ class PandasNode:
             if limit is not None:
                 # gauge only under overload control so legacy runs keep
                 # their exact historical metrics snapshot
-                self.ctx.metrics.observe_queue_depth(
+                self.ctx.obs.queue_depth(
                     "pending_requests", state.pending_count
                 )
             if msg.priority == PRIORITY_RETRIEVAL:
@@ -563,12 +560,10 @@ class PandasNode:
         now_rel = self.ctx.since_slot_start(slot)
         if not state.consolidation_marked and state.cells.consolidation_complete:
             state.consolidation_marked = True
-            self.ctx.metrics.mark_consolidation(slot, self.node_id, now_rel)
-            self._trace("phase", slot=slot, phase="consolidation", at=now_rel)
+            self.ctx.obs.mark("consolidation", slot, self.node_id, now_rel)
         if not state.sampling_marked and state.cells.sampling_complete:
             state.sampling_marked = True
-            self.ctx.metrics.mark_sampling(slot, self.node_id, now_rel)
-            self._trace("phase", slot=slot, phase="sampling", at=now_rel)
+            self.ctx.obs.mark("sampling", slot, self.node_id, now_rel)
 
     def _epoch(self, slot: int) -> int:
         return self.ctx.epoch_of(slot)

@@ -133,13 +133,13 @@ class RetrievalClient:
             self._deferred.append((result, callback))
             if len(self._deferred) > self.deferred_peak:
                 self.deferred_peak = len(self._deferred)
-            self.ctx.metrics.observe_queue_depth(
+            self.ctx.obs.queue_depth(
                 "retrieval_deferred", len(self._deferred)
             )
         else:
             result.shed = True
             self.shed_count += 1
-            self.ctx.metrics.record_shed("retrieval_client")
+            self.ctx.obs.shed("retrieval_client")
             callback(result)
         return result
 

@@ -140,9 +140,10 @@ def measure_telemetry_overhead(
 ) -> dict[str, float]:
     """Wall-clock ratio of a telemetered run over a plain one.
 
-    The telemetered side runs the full observability stack: metrics
-    tap, per-datagram layer accounting and the cadence sampler — the
-    cost a long sustained run pays for its health report.
+    The telemetered side runs the full observability stack:
+    per-datagram layer accounting, phase and record mirroring and the
+    cadence sampler — the cost a long sustained run pays for its
+    health report.
     """
     plain, telemetered = _overhead_pair(
         lambda: ScenarioConfig(num_nodes=nodes, seed=seed, slots=1),

@@ -43,6 +43,7 @@ from repro.analysis.stats import percentile
 from repro.core.retrieval import AggregateRetrievalLoad, RetrievalClient, RetrievalResult
 from repro.experiments.churn import ChurnScenario
 from repro.experiments.scenario import ScenarioConfig
+from repro.obs.telemetry import Telemetry
 
 __all__ = ["PROBE_BASE_ADDRESS", "PipelineReport", "PipelineScenario"]
 
@@ -101,6 +102,9 @@ class PipelineScenario(ChurnScenario):
     - ``sampling_cost``: serving-tier requests/s consumed per observed
       sampling message/s (sampling's strict priority over retrieval).
     """
+
+    # probe traffic is telemetry's "retrieval" layer
+    retrieval_floor = PROBE_BASE_ADDRESS
 
     def __init__(
         self,
@@ -166,15 +170,10 @@ class PipelineScenario(ChurnScenario):
                 )
                 self.probes.append(client)
 
-    def _wire_telemetry(self) -> None:
-        """Extend the base wiring with pipeline-specific dimensions:
-        probe traffic is classed as the ``retrieval`` layer and the
-        aggregate fluid model's backlog/shed feed extra gauges."""
-        super()._wire_telemetry()
-        tel = self.telemetry
-        if tel is None:
-            return
-        tel.configure_layers(retrieval_floor=PROBE_BASE_ADDRESS)
+    def _wire_telemetry(self, tel: Telemetry) -> None:
+        """Extend the base wiring with the aggregate fluid model's
+        backlog/shed gauges."""
+        super()._wire_telemetry(tel)
         tel.gauge(
             "aggregate_backlog",
             "Aggregate retrieval fluid-model backlog (requests)",
@@ -318,7 +317,7 @@ class PipelineScenario(ChurnScenario):
             row["aggregate_backlog"] = self.aggregate.backlog
             row["aggregate_shed"] = self.aggregate.shed_total
         self._slot_rows.append(row)
-        self.ctx.trace(
+        self.obs.trace(
             "pipeline_slot",
             slot=slot,
             live=row["live_nodes"],

@@ -2,8 +2,9 @@
 
 ``BaseScenario`` owns everything protocol-independent — the simulation
 engine, WAN latency model, shaped transport, topology placement, fault
-injection and traffic accounting — and is shared by the PANDAS
-scenario here and the two baselines in :mod:`repro.baselines`.
+injection and the observation bus (traffic accounting, invariants,
+tracing, telemetry) — and is shared by the PANDAS scenario here and
+the baselines in :mod:`repro.baselines`.
 
 Defaults mirror Section 8.1: full Danksharding parameters, the
 IPFS-like latency model, 25 Mbps node links, a 10 Gbps builder placed
@@ -12,6 +13,7 @@ in the best-connected 20% of vertices, 3% UDP loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable
 
@@ -28,6 +30,7 @@ from repro.faults.plan import AdversarySpec, FaultPlan
 from repro.net.latency import ClusteredWanModel, LatencyModel
 from repro.net.topology import DEFAULT_BUILDER_PROFILE, DEFAULT_NODE_PROFILE, NodeProfile, Topology
 from repro.net.transport import DEFAULT_LOSS_RATE, Datagram, Network
+from repro.obs.bus import ObservationBus
 from repro.obs.events import TraceRecorder
 from repro.obs.profiler import CallbackProfiler
 from repro.obs.telemetry import Telemetry
@@ -68,7 +71,6 @@ class ScenarioConfig:
     # attach the online protocol-invariant checker (repro.faults.
     # invariants) — any violation raises mid-run
     check_invariants: bool = False
-    invariant_fetch_bound_factor: float = 1.0
     # structured event tracing (repro.obs): pure observation — a
     # recorder here must never change simulation behavior, and a
     # dedicated test pins MetricsRecorder.fingerprint() to be
@@ -114,6 +116,10 @@ class PhaseDistributions:
 class BaseScenario:
     """Protocol-independent scaffolding for one constructed network."""
 
+    # lowest address of the retrieval-client population (telemetry's
+    # "retrieval" traffic layer); scenarios without clients have none
+    retrieval_floor: float = math.inf
+
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self.sim = Simulator(queue=config.queue)
@@ -135,9 +141,25 @@ class BaseScenario:
         self.node_ids = list(range(config.num_nodes))
         self.builder_id = config.num_nodes
 
-        self.tracer = config.tracer
+        self.telemetry = config.telemetry
         if config.profiler is not None:
             self.sim.set_profiler(config.profiler)
+
+        # every observation of the run — transport datagrams and
+        # protocol marks alike — goes through this one bus
+        self.invariants = InvariantChecker(self) if config.check_invariants else None
+        self.obs = ObservationBus(
+            self.sim,
+            self.metrics,
+            builder_id=self.builder_id,
+            tracer=config.tracer,
+            telemetry=self.telemetry,
+            invariants=self.invariants,
+            retrieval_floor=self.retrieval_floor,
+        )
+        self.network.on_send.append(self.obs.on_send)
+        self.network.on_deliver.append(self.obs.on_deliver)
+        self.network.on_drop.append(self.obs.on_drop)
 
         self.ctx = ProtocolContext(
             sim=self.sim,
@@ -148,20 +170,18 @@ class BaseScenario:
             rngs=self.rngs,
             index_for_epoch=self._index_for_epoch,
             builder_id=self.builder_id,
-            tracer=self.tracer,
+            obs=self.obs,
         )
 
         self._place_participants()
         self.dead_nodes = self._pick_dead_nodes()
         self.byzantine = self._pick_adversaries()
         self._build_participants()
-        self._wire_metrics()
-        self._wire_tracing()
-        self._wire_telemetry()
+        if self.telemetry is not None:
+            self._wire_telemetry(self.telemetry)
         for dead in self.dead_nodes:
             self.network.kill(dead)
         self.fault_injector = self._install_faults()
-        self.invariants = self._install_invariants()
 
     # ------------------------------------------------------------------
     # hooks for protocol-specific subclasses
@@ -271,21 +291,12 @@ class BaseScenario:
             sim=self.sim,
             network=self.network,
             rngs=self.rngs,
-            metrics=self.metrics,
+            obs=self.obs,
             candidates=candidates,
             node_lookup=lambda nid: getattr(self, "nodes", {}).get(nid),
             slot_duration=self.params.slot_duration,
-            tracer=self.tracer,
         )
         return injector.install()
-
-    def _install_invariants(self) -> InvariantChecker | None:
-        if not self.config.check_invariants:
-            return None
-        checker = InvariantChecker(
-            self, fetch_bound_factor=self.config.invariant_fetch_bound_factor
-        )
-        return checker.install()
 
     @property
     def crashed_nodes(self) -> set[int]:
@@ -294,145 +305,16 @@ class BaseScenario:
             return set()
         return set(self.fault_injector.crash_targets)
 
-    def _wire_metrics(self) -> None:
-        """Account traffic: builder egress vs node fetch traffic.
+    def _wire_telemetry(self, tel: Telemetry) -> None:
+        """Attach the run-health sampler and its state gauges.
 
-        "Fetch" traffic is everything nodes exchange among themselves
-        (queries, responses, gossip forwards, DHT RPCs) in both
-        directions — the quantity of Figures 10, 12b, 13b/c, 14b/c.
-        Builder-sourced seeding is tracked separately.
-        """
-        metrics = self.metrics
-        builder_id = self.builder_id
-
-        def on_send(dgram: Datagram) -> None:
-            slot = getattr(dgram.payload, "slot", None)
-            if slot is None or slot < 0:
-                return
-            if dgram.src == builder_id:
-                metrics.record_builder_send(slot, dgram.size)
-                return
-            metrics.record_send(slot, dgram.src, dgram.size)
-            if dgram.dst != builder_id:
-                metrics.fetch_messages.add(slot, dgram.src)
-                metrics.fetch_bytes.add(slot, dgram.src, dgram.size)
-
-        def on_deliver(dgram: Datagram) -> None:
-            slot = getattr(dgram.payload, "slot", None)
-            if slot is None or slot < 0 or dgram.dst == builder_id:
-                return
-            metrics.record_receive(slot, dgram.dst, dgram.size)
-            if dgram.src != builder_id:
-                metrics.fetch_messages.add(slot, dgram.dst)
-                metrics.fetch_bytes.add(slot, dgram.dst, dgram.size)
-
-        def on_drop(dgram: Datagram, reason: str) -> None:
-            # bounded-inbox drops (only possible when max_inbox is set)
-            # feed the backlog counters the pipeline report surfaces
-            if reason == "overflow":
-                metrics.record_queue_drop("inbox_overflow")
-
-        self.network.on_send.append(on_send)
-        self.network.on_deliver.append(on_deliver)
-        self.network.on_drop.append(on_drop)
-
-    def _wire_tracing(self) -> None:
-        """Mirror the transport's send/deliver/drop flow into the trace.
-
-        Observers are only attached for kinds the recorder accepts, so
-        a kind-filtered recorder (say, queries only) costs nothing on
-        the datagram path. Tracing a 1,000-node run stays bounded: the
-        recorder ring-buffers and streaming sinks write flat records.
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return
-
-        def payload_slot(dgram: Datagram) -> int:
-            slot = getattr(dgram.payload, "slot", None)
-            return slot if isinstance(slot, int) else -1
-
-        def payload_kind(dgram: Datagram) -> str:
-            return type(dgram.payload).__name__
-
-        if tracer.enabled("net_send"):
-
-            def on_send(dgram: Datagram) -> None:
-                tracer.emit(
-                    "net_send",
-                    t=self.sim.now,
-                    slot=payload_slot(dgram),
-                    node=dgram.src,
-                    dst=dgram.dst,
-                    size=dgram.size,
-                    payload=payload_kind(dgram),
-                )
-
-            self.network.on_send.append(on_send)
-
-        if tracer.enabled("net_deliver"):
-
-            def on_deliver(dgram: Datagram) -> None:
-                tracer.emit(
-                    "net_deliver",
-                    t=self.sim.now,
-                    slot=payload_slot(dgram),
-                    node=dgram.dst,
-                    src=dgram.src,
-                    size=dgram.size,
-                    payload=payload_kind(dgram),
-                )
-
-            self.network.on_deliver.append(on_deliver)
-
-        if tracer.enabled("net_drop"):
-
-            def on_drop(dgram: Datagram, reason: str) -> None:
-                tracer.emit(
-                    "net_drop",
-                    t=self.sim.now,
-                    slot=payload_slot(dgram),
-                    node=dgram.dst,
-                    src=dgram.src,
-                    size=dgram.size,
-                    payload=payload_kind(dgram),
-                    reason=reason,
-                )
-
-            self.network.on_drop.append(on_drop)
-
-        if tracer.enabled("queue_overflow"):
-
-            def on_overflow(dgram: Datagram, reason: str) -> None:
-                if reason != "overflow":
-                    return
-                tracer.emit(
-                    "queue_overflow",
-                    t=self.sim.now,
-                    slot=payload_slot(dgram),
-                    node=dgram.dst,
-                    src=dgram.src,
-                    size=dgram.size,
-                )
-
-            self.network.on_drop.append(on_overflow)
-
-    def _wire_telemetry(self) -> None:
-        """Attach the dimensional telemetry registry, if configured.
-
-        Everything here is read-only observation: the metrics tap
-        mirrors writes that already happen, the transport observer
-        looks at datagrams already sent, and the gauge collector only
-        reads state. The sampler's cadence ticks are extra simulator
-        events, but they schedule nothing and draw no RNG, so the
+        Everything here is read-only observation: the bus feeds the
+        counters and histograms, and the gauge collector only reads
+        state. The sampler's cadence ticks are extra simulator events,
+        but they schedule nothing and draw no RNG, so the
         fingerprint-equality tests hold.
         """
-        tel = self.config.telemetry
-        self.telemetry = tel
-        if tel is None:
-            return
         config = self.config
-        tel.configure_layers(builder_id=self.builder_id)
         tel.set_run_info(
             nodes=config.num_nodes,
             slots=config.slots,
@@ -441,14 +323,6 @@ class BaseScenario:
             seed=config.seed,
         )
         tel.expected_end = config.slots * self.params.slot_duration
-        self.ctx.telemetry = tel
-        self.metrics.tap = tel
-
-        def on_send(dgram: Datagram) -> None:
-            tel.observe_send(dgram.src, dgram.dst, dgram.size, dgram.payload)
-
-        self.network.on_send.append(on_send)
-
         network = self.network
 
         def collect() -> None:
@@ -597,8 +471,8 @@ class Scenario(BaseScenario):
             )
 
     def _on_block(self, member: int, message) -> None:
-        self.metrics.mark_block(
-            message.slot, member, self.ctx.since_slot_start(message.slot)
+        self.obs.mark(
+            "block", message.slot, member, self.ctx.since_slot_start(message.slot)
         )
 
     def _node_handler(self, node_id: int) -> Callable[[Datagram], None]:
@@ -618,7 +492,7 @@ class Scenario(BaseScenario):
             # a randomly chosen node acts as the proposer and gossips
             # the block, concurrently with the builder's seeding
             proposer = self.rngs.stream("proposer").choice(self.node_ids)
-            self.metrics.mark_block(slot, proposer, 0.0)
+            self.obs.mark("block", slot, proposer, 0.0)
             self.block_overlay.publish(
                 publisher=proposer,
                 topic="blocks",

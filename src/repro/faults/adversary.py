@@ -142,7 +142,7 @@ class ByzantineNode(PandasNode):
         self.ctx.network.send(
             self.node_id, victim, response, response.wire_size(params)
         )
-        self.ctx.metrics.record_fault("byz_flood")
+        self.ctx.obs.fault("byz_flood")
         self._flood_timer = sim.call_after(
             1.0 / self.spec.rate, lambda: self._flood_tick(slot, end)
         )
@@ -155,14 +155,14 @@ class ByzantineNode(PandasNode):
         if behavior == "equivocate":
             served = self._served_requesters.setdefault(msg.slot, set())
             if src not in served and len(served) >= self.spec.first_k:
-                self.ctx.metrics.record_fault("byz_equivocate_drop")
+                self.ctx.obs.fault("byz_equivocate_drop")
                 return
             served.add(src)
         elif behavior == "withhold":
             withheld = self._withheld_cells(msg.epoch)
             starved = msg.cells & withheld
             if starved:
-                self.ctx.metrics.record_fault("byz_withhold_cells", len(starved))
+                self.ctx.obs.fault("byz_withhold_cells", len(starved))
                 remaining = msg.cells - withheld
                 if not remaining:
                     return
@@ -176,13 +176,13 @@ class ByzantineNode(PandasNode):
             response = CellResponse(
                 slot=slot, epoch=epoch, cells=cells, invalid=frozenset(cells)
             )
-            ctx.metrics.record_fault("byz_corrupt_cells", len(cells))
+            ctx.obs.fault("byz_corrupt_cells", len(cells))
             ctx.network.send(
                 self.node_id, dst, response, response.wire_size(ctx.params)
             )
             return
         if behavior == "stall":
-            ctx.metrics.record_fault("byz_stall")
+            ctx.obs.fault("byz_stall")
             send = PandasNode._respond
             ctx.sim.call_after(
                 self.spec.delay, lambda: send(self, slot, epoch, dst, cells)

@@ -2,8 +2,10 @@
 
 ``tests/test_protocol_invariants.py`` asserts message-level properties
 post-hoc on recorded traffic. This module is the reusable, online
-version: an :class:`InvariantChecker` attaches to a live scenario and
-enforces, *while the run executes and under any fault mix*:
+version: an :class:`InvariantChecker` is fed every send, delivery and
+phase mark of a live scenario by its observation bus
+(:mod:`repro.obs.bus`) and enforces, *while the run executes and under
+any fault mix*:
 
 - **I1 — causality**: no datagram is delivered before it was sent, and
   observed simulation time never goes backwards (the engine already
@@ -51,34 +53,15 @@ class InvariantViolation(AssertionError):
 class InvariantChecker:
     """Watches one scenario run; see module docstring for the checks.
 
-    ``fetch_bound_factor`` loosens/tightens I2 relative to
-    ``PandasParams.fetch_bytes_invariant_bound`` (1.0 is already
-    generous: the bound is a physical ceiling, not a performance
-    target).
+    The scenario's :class:`~repro.obs.bus.ObservationBus` calls the
+    ``check_*`` methods at every send, delivery and phase mark, before
+    anything is recorded; ``checks_run`` counts the checks evaluated.
     """
 
-    def __init__(self, scenario: BaseScenario, fetch_bound_factor: float = 1.0) -> None:
+    def __init__(self, scenario: BaseScenario) -> None:
         self.scenario = scenario
-        self.fetch_bound_factor = fetch_bound_factor
         self.checks_run = 0
         self._last_seen_now: float = 0.0
-        self._installed = False
-
-    # ------------------------------------------------------------------
-    def install(self) -> InvariantChecker:
-        """Hook transport observers and wrap the metrics marks."""
-        if self._installed:
-            raise RuntimeError("invariant checker already installed")
-        self._installed = True
-        network = self.scenario.network
-        network.on_send.append(self._on_send)
-        network.on_deliver.append(self._on_deliver)
-        metrics = self.scenario.metrics
-        self._orig_mark_consolidation = metrics.mark_consolidation
-        self._orig_mark_sampling = metrics.mark_sampling
-        metrics.mark_consolidation = self._checked_consolidation  # type: ignore[method-assign]
-        metrics.mark_sampling = self._checked_sampling  # type: ignore[method-assign]
-        return self
 
     # ------------------------------------------------------------------
     # I1: causality
@@ -91,11 +74,11 @@ class InvariantChecker:
             )
         self._last_seen_now = now
 
-    def _on_send(self, dgram: Datagram) -> None:
+    def check_send(self) -> None:
         self.checks_run += 1
         self._observe_clock()
 
-    def _on_deliver(self, dgram: Datagram) -> None:
+    def check_deliver(self, dgram: Datagram) -> None:
         self.checks_run += 1
         self._observe_clock()
         if dgram.sent_at > self.scenario.sim.now + _TIME_EPS:
@@ -110,7 +93,7 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     def _check_backlog_bounds(self, address: int | None = None) -> None:
         network = self.scenario.network
-        max_inbox = getattr(network, "max_inbox", None)
+        max_inbox = network.max_inbox
         if max_inbox is not None:
             self.checks_run += 1
             if address is not None:
@@ -125,7 +108,7 @@ class InvariantChecker:
                         f"endpoint {addr} holds {depth} in-flight datagrams, "
                         f"bounded inbox is {max_inbox}"
                     )
-        limit = getattr(self.scenario.params, "pending_request_limit", None)
+        limit = self.scenario.params.pending_request_limit
         if limit is None:
             return
         nodes = getattr(self.scenario, "nodes", None)
@@ -161,14 +144,19 @@ class InvariantChecker:
             return None
         return node_obj.slot_cells(slot)
 
-    def _checked_consolidation(self, slot: Hashable, node: Hashable, t: float) -> None:
+    def check_mark(self, phase: str, slot: Hashable, node: Hashable, t: float) -> None:
+        """I3/I4 for consolidation and sampling marks (others pass)."""
+        if phase not in ("consolidation", "sampling"):
+            return
         self.checks_run += 1
         if t < -_TIME_EPS:
             raise InvariantViolation(
-                f"node {node} consolidation marked at negative time {t:.6f}"
+                f"node {node} {phase} marked at negative time {t:.6f}"
             )
         state = self._node_cells(slot, node)
-        if state is not None:
+        if state is None:
+            return
+        if phase == "consolidation":
             for line in state.custody_lines:
                 if not state.line_complete(line):
                     raise InvariantViolation(
@@ -176,28 +164,18 @@ class InvariantChecker:
                         f"with custody line {line} at {state.line_count(line)} cells "
                         "(not reconstructable)"
                     )
-        self._orig_mark_consolidation(slot, node, t)
-
-    def _checked_sampling(self, slot: Hashable, node: Hashable, t: float) -> None:
-        self.checks_run += 1
-        if t < -_TIME_EPS:
+            return
+        if len(state.samples) != self.scenario.params.samples:
             raise InvariantViolation(
-                f"node {node} sampling marked at negative time {t:.6f}"
+                f"node {node} sampled {len(state.samples)} cells, protocol "
+                f"requires {self.scenario.params.samples}"
             )
-        state = self._node_cells(slot, node)
-        if state is not None:
-            if len(state.samples) != self.scenario.params.samples:
-                raise InvariantViolation(
-                    f"node {node} sampled {len(state.samples)} cells, protocol "
-                    f"requires {self.scenario.params.samples}"
-                )
-            missing = state.missing_samples()
-            if missing:
-                raise InvariantViolation(
-                    f"node {node} marked sampling-complete for slot {slot} with "
-                    f"{len(missing)} sample cells unverified"
-                )
-        self._orig_mark_sampling(slot, node, t)
+        missing = state.missing_samples()
+        if missing:
+            raise InvariantViolation(
+                f"node {node} marked sampling-complete for slot {slot} with "
+                f"{len(missing)} sample cells unverified"
+            )
 
     # ------------------------------------------------------------------
     # end-of-run checks (I1 tail + I2)
@@ -233,7 +211,4 @@ class InvariantChecker:
 
     def fetch_bytes_bound(self) -> float:
         """I2's ceiling for this scenario's parameters and node count."""
-        scenario = self.scenario
-        return self.fetch_bound_factor * scenario.params.fetch_bytes_invariant_bound(
-            len(scenario.node_ids)
-        )
+        return self.scenario.params.fetch_bytes_invariant_bound(len(self.scenario.node_ids))

@@ -7,9 +7,13 @@ queries went out in which Algorithm-1 round, which timed out, which
 peer was quarantined, which cell arrived via reconstruction. This
 package provides that layer:
 
+- :mod:`repro.obs.bus` — ``ObservationBus``, the one observer of the
+  transport and the one sink of protocol marks, which checks
+  invariants, stores into ``MetricsRecorder`` and fans out to the
+  trace and telemetry;
 - :mod:`repro.obs.events` — ``TraceRecorder``, a ring-buffered,
-  zero-RNG structured event log fed by hooks in the transport, node,
-  fetcher, builder and fault injector;
+  zero-RNG structured event log fed by the bus and by hooks in the
+  node, fetcher, builder and fault injector;
 - :mod:`repro.obs.sinks` — pluggable sinks (in-memory, JSONL files,
   Chrome ``trace_event`` JSON for about://tracing timelines);
 - :mod:`repro.obs.timeline` — per-node slot timelines and the

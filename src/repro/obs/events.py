@@ -39,10 +39,10 @@ __all__ = [
 # recorder accepts unknown kinds — the catalog is a contract for
 # consumers (timeline, tests), not a straitjacket for emitters.
 KINDS: Mapping[str, str] = {
-    # transport (repro.net.transport observers)
+    # transport (repro.obs.bus, the transport's observer)
     "net_send": "datagram left a sender's NIC (src=node, dst, size, payload)",
     "net_deliver": "datagram handed to the receiver (node=dst, src, size, payload)",
-    "net_drop": "datagram lost (reason: loss|dead|dead_late|fault)",
+    "net_drop": "datagram lost (reason: loss|dead|dead_late|fault|overflow)",
     # fault injection (repro.faults.injector)
     "fault": "injected fault realized (fault kind, victim where known)",
     # builder (repro.core.builder)
@@ -50,7 +50,7 @@ KINDS: Mapping[str, str] = {
     # node (repro.core.node)
     "seed_recv": "first seed parcel with cells arrived at a node",
     "cells_ingest": "cells stored (source: seed|response; new, reconstructed)",
-    "phase": "a phase completed (phase: seeding|consolidation|sampling; at)",
+    "phase": "a phase completed first (phase: seeding|consolidation|sampling|block; at)",
     "defense": "validation layer dropped/limited something (defense kind, amount)",
     # fetcher (repro.core.fetching) — the query lifecycle
     "fetch_start": "Algorithm 1 started for one (node, slot)",
@@ -177,9 +177,6 @@ class TraceRecorder:
     def evicted(self) -> int:
         """Accepted events no longer in the ring buffer."""
         return self.accepted - len(self._buffer)
-
-    def add_sink(self, sink: Any) -> None:
-        self._sinks.append(sink)
 
     def close(self) -> None:
         """Flush and close every sink (idempotent per sink contract)."""

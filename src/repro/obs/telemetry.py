@@ -33,7 +33,6 @@ profiler; this module itself stays lint-clean.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
@@ -265,10 +264,10 @@ class Metric:
 class Telemetry:
     """The run-health registry plus its sim-time cadence sampler.
 
-    Implements the :class:`repro.sim.metrics.MetricsTap` protocol, so a
-    scenario can hand it to the recorder and have every phase mark,
-    shed, queue drop, fault and defense mirrored into dimensional
-    metrics with no per-call-site instrumentation.
+    A scenario's observation bus (:mod:`repro.obs.bus`) writes it:
+    every sent datagram through :meth:`observe_send`, and every phase
+    mark, shed, queue drop, queue depth, fault, defense and fetch-round
+    latency into the standard series declared below.
     """
 
     def __init__(
@@ -288,8 +287,6 @@ class Telemetry:
         # sim-time estimate of the run's end (heartbeat ETA only; an
         # inaccurate value merely degrades the printed ETA)
         self.expected_end: float | None = None
-        self._builder_id: int | None = None
-        self._retrieval_floor: float = math.inf
         self._sim: Any | None = None
         self.ticks = 0
         self.finalized = False
@@ -426,23 +423,6 @@ class Telemetry:
         if deadline is not None:
             self.deadline = float(deadline)
 
-    def configure_layers(
-        self,
-        builder_id: int | None = None,
-        retrieval_floor: float | None = None,
-    ) -> None:
-        """Teach traffic-layer classification the run's addresses.
-
-        ``builder_id``: seed-layer source; ``retrieval_floor``: the
-        lowest address of the retrieval-client population (pipeline
-        probes live at :data:`~repro.experiments.pipeline.
-        PROBE_BASE_ADDRESS` and above).
-        """
-        if builder_id is not None:
-            self._builder_id = builder_id
-        if retrieval_floor is not None:
-            self._retrieval_floor = float(retrieval_floor)
-
     def add_collector(self, fn: Callable[[], None]) -> None:
         """Register a per-tick collector (reads state, sets gauges)."""
         self._collectors.append(fn)
@@ -497,55 +477,9 @@ class Telemetry:
         self.finalized = True
 
     # ------------------------------------------------------------------
-    # MetricsTap protocol (called by MetricsRecorder) + transport hooks
+    # the per-datagram entry point (fed by repro.obs.bus.ObservationBus)
     # ------------------------------------------------------------------
-    def on_phase(self, phase: str, slot: Any, node: Any, t: float) -> None:
-        self.observe("phase_latency_seconds", t, phase=phase)
-        self.inc("phase_completions_total", phase=phase)
-        deadline = self.deadline
-        if deadline is not None and t <= deadline:
-            self.inc("phase_deadline_hits_total", phase=phase)
-
-    def on_shed(self, kind: str, amount: float) -> None:
-        self.inc("shed_total", amount, kind=kind)
-
-    def on_queue_drop(self, reason: str, amount: float) -> None:
-        self.inc("queue_drops_total", amount, reason=reason)
-
-    def on_queue_depth(self, gauge: str, depth: float) -> None:
-        self.observe("queue_depth", depth, queue=gauge)
-
-    def on_fault(self, kind: str, amount: float) -> None:
-        self.inc("fault_total", amount, kind=kind)
-
-    def on_defense(self, kind: str, amount: float) -> None:
-        self.inc("defense_total", amount, kind=kind)
-
-    def on_round_latency(self, round_index: int, latency: float) -> None:
-        label = str(round_index) if round_index <= 4 else "5+"
-        self.observe("fetch_round_latency_seconds", latency, round=label)
-
-    def observe_send(self, src: int, dst: int, size: int, payload: Any) -> None:
-        """Classify one datagram into a traffic layer and count it.
-
-        Classification is by payload type *name* (plus the retrieval
-        priority/address floor), deliberately avoiding imports from
-        ``repro.core`` so this module stays dependency-free.
-        """
-        layer = self._layer(src, dst, payload)
+    def observe_send(self, layer: str, size: int) -> None:
+        """Count one sent datagram of traffic ``layer``."""
         self.inc("messages_sent_total", 1.0, layer=layer)
         self.inc("bytes_sent_total", float(size), layer=layer)
-
-    def _layer(self, src: int, dst: int, payload: Any) -> str:
-        name = type(payload).__name__
-        if src == self._builder_id or name == "SeedMessage":
-            return "seed"
-        if name == "GossipMessage":
-            return "gossip"
-        if name == "CellRequest":
-            if getattr(payload, "priority", 0) != 0 or src >= self._retrieval_floor:
-                return "retrieval"
-            return "fetch"
-        if name == "CellResponse":
-            return "retrieval" if dst >= self._retrieval_floor else "fetch"
-        return "other"

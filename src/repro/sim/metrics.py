@@ -14,33 +14,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from statistics import mean, pstdev
 from collections.abc import Hashable, Iterable, Iterator
-from typing import Protocol, runtime_checkable
 
-__all__ = ["Counter2D", "MetricsRecorder", "MetricsTap", "PhaseTimes"]
-
-
-@runtime_checkable
-class MetricsTap(Protocol):
-    """Live observer of recorder writes (duck-typed; see
-    :class:`repro.obs.telemetry.Telemetry`).
-
-    A tap is *pure observation*: implementations must not mutate
-    protocol state, draw RNG or schedule simulator events — the
-    recorder's snapshot/fingerprint never includes the tap, and the
-    behavior-neutrality tests pin fingerprints with and without one.
-    """
-
-    def on_phase(self, phase: str, slot: Hashable, node: Hashable, t: float) -> None: ...
-
-    def on_shed(self, kind: str, amount: float) -> None: ...
-
-    def on_queue_drop(self, reason: str, amount: float) -> None: ...
-
-    def on_queue_depth(self, gauge: str, depth: float) -> None: ...
-
-    def on_fault(self, kind: str, amount: float) -> None: ...
-
-    def on_defense(self, kind: str, amount: float) -> None: ...
+__all__ = ["Counter2D", "MetricsRecorder", "PhaseTimes"]
 
 
 class Counter2D:
@@ -162,49 +137,22 @@ class MetricsRecorder:
     shed_counts: dict[str, float] = field(default_factory=lambda: defaultdict(float))
     queue_drop_counts: dict[str, float] = field(default_factory=lambda: defaultdict(float))
     queue_depth_peaks: dict[str, float] = field(default_factory=dict)
-    # Optional live observer (repro.obs.telemetry). Excluded from
-    # snapshot()/fingerprint() and from dataclass comparison: a tap is
-    # a read-only mirror of writes, never part of recorded behavior.
-    tap: MetricsTap | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # phase completion marks
     # ------------------------------------------------------------------
-    def _times(self, slot: Hashable, node: Hashable) -> PhaseTimes:
+    def mark(self, phase: str, slot: Hashable, node: Hashable, t: float) -> bool:
+        """Store ``node``'s first completion of ``phase`` (seeding,
+        consolidation, sampling or block); True when this call stored
+        it, False when an earlier mark already holds."""
         key = (slot, node)
         times = self.phase_times.get(key)
         if times is None:
-            times = PhaseTimes()
-            self.phase_times[key] = times
-        return times
-
-    def mark_seeding(self, slot: Hashable, node: Hashable, t: float) -> None:
-        times = self._times(slot, node)
-        if times.seeding is None:
-            times.seeding = t
-            if self.tap is not None:
-                self.tap.on_phase("seeding", slot, node, t)
-
-    def mark_consolidation(self, slot: Hashable, node: Hashable, t: float) -> None:
-        times = self._times(slot, node)
-        if times.consolidation is None:
-            times.consolidation = t
-            if self.tap is not None:
-                self.tap.on_phase("consolidation", slot, node, t)
-
-    def mark_sampling(self, slot: Hashable, node: Hashable, t: float) -> None:
-        times = self._times(slot, node)
-        if times.sampling is None:
-            times.sampling = t
-            if self.tap is not None:
-                self.tap.on_phase("sampling", slot, node, t)
-
-    def mark_block(self, slot: Hashable, node: Hashable, t: float) -> None:
-        times = self._times(slot, node)
-        if times.block is None:
-            times.block = t
-            if self.tap is not None:
-                self.tap.on_phase("block", slot, node, t)
+            times = self.phase_times[key] = PhaseTimes()
+        if getattr(times, phase) is not None:
+            return False
+        setattr(times, phase, t)
+        return True
 
     # ------------------------------------------------------------------
     # traffic
@@ -224,14 +172,10 @@ class MetricsRecorder:
     def record_fault(self, kind: str, amount: float = 1.0) -> None:
         """Count one injected fault event of ``kind``."""
         self.fault_counts[kind] += amount
-        if self.tap is not None:
-            self.tap.on_fault(kind, amount)
 
     def record_defense(self, kind: str, amount: float = 1.0) -> None:
         """Count one node-side defense event of ``kind``."""
         self.defense_counts[kind] += amount
-        if self.tap is not None:
-            self.tap.on_defense(kind, amount)
 
     # ------------------------------------------------------------------
     # overload control (bounded queues, admission, backlog gauges)
@@ -239,22 +183,16 @@ class MetricsRecorder:
     def record_shed(self, kind: str, amount: float = 1.0) -> None:
         """Count load shed by admission control (``kind`` = what/why)."""
         self.shed_counts[kind] += amount
-        if self.tap is not None:
-            self.tap.on_shed(kind, amount)
 
     def record_queue_drop(self, reason: str, amount: float = 1.0) -> None:
         """Count one bounded-queue rejection (e.g. transport overflow)."""
         self.queue_drop_counts[reason] += amount
-        if self.tap is not None:
-            self.tap.on_queue_drop(reason, amount)
 
     def observe_queue_depth(self, gauge: str, depth: float) -> None:
         """Track the high-water mark of a named queue-depth gauge."""
         prev = self.queue_depth_peaks.get(gauge)
         if prev is None or depth > prev:
             self.queue_depth_peaks[gauge] = depth
-        if self.tap is not None:
-            self.tap.on_queue_depth(gauge, depth)
 
     # ------------------------------------------------------------------
     # fetching round telemetry (Table 1)

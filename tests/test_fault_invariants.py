@@ -69,25 +69,24 @@ class TestViolationsCaught:
         node = scenario.nodes[0]
         node._slot_state(0)  # creates empty cell state: nothing verified
         with pytest.raises(InvariantViolation):
-            scenario.metrics.mark_sampling(0, 0, 0.1)
+            scenario.obs.mark("sampling", 0, 0, 0.1)
 
     def test_consolidation_mark_without_lines_raises(self):
         scenario = Scenario(make_config())
         scenario.nodes[1]._slot_state(0)
         with pytest.raises(InvariantViolation):
-            scenario.metrics.mark_consolidation(0, 1, 0.1)
+            scenario.obs.mark("consolidation", 0, 1, 0.1)
 
     def test_negative_completion_time_raises(self):
         scenario = Scenario(make_config())
         with pytest.raises(InvariantViolation):
-            scenario.metrics.mark_sampling(0, 0, -0.5)
+            scenario.obs.mark("sampling", 0, 0, -0.5)
 
     def test_delivery_before_send_raises(self):
         scenario = Scenario(make_config())
-        checker = scenario.invariants
         ghost = Datagram(src=0, dst=1, payload=None, size=10, sent_at=99.0)
         with pytest.raises(InvariantViolation):
-            checker._on_deliver(ghost)
+            scenario.obs.on_deliver(ghost)
 
     def test_excess_fetch_traffic_raises(self):
         scenario = Scenario(make_config()).run()
@@ -97,12 +96,12 @@ class TestViolationsCaught:
             scenario.invariants.check_final()
 
     def test_wrapped_marks_still_record(self):
-        """The checker wraps the metrics marks; legitimate completions
-        must flow through to the recorder unchanged."""
+        """The bus checks every mark before storing it; legitimate
+        completions must flow through to the recorder unchanged."""
         scenario = Scenario(make_config()).run()
         sampled = [
             t.sampling
             for t in scenario.metrics.phase_times.values()
             if t.sampling is not None
         ]
-        assert sampled  # marks were recorded despite the wrapper
+        assert sampled  # marks were recorded despite the checks

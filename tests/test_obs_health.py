@@ -19,6 +19,7 @@ from repro.core.seeding import RedundantSeeding
 from repro.experiments.pipeline import PipelineScenario
 from repro.experiments.scenario import ScenarioConfig
 from repro.obs import SloThresholds, Telemetry
+from repro.obs.bus import ObservationBus
 from repro.obs.export import (
     SERIES_SCHEMA,
     prometheus_text,
@@ -29,6 +30,8 @@ from repro.obs.export import (
 )
 from repro.obs.health import analyze, analyze_file, format_report
 from repro.params import PandasParams, RetryPolicy
+from repro.sim.engine import Simulator
+from repro.sim.metrics import MetricsRecorder
 
 GOLDEN = Path(__file__).parent / "golden" / "telemetry_exposition.prom"
 
@@ -36,23 +39,24 @@ GOLDEN = Path(__file__).parent / "golden" / "telemetry_exposition.prom"
 def synthetic_telemetry() -> Telemetry:
     """A small, hand-fed registry with every metric kind exercised.
 
-    Built without a simulator so the exposition depends only on this
-    code — the golden file pins the byte layout, not a protocol run.
+    Fed through an observation bus with no run attached, so the
+    exposition depends only on this code — the golden file pins the
+    byte layout, not a protocol run.
     """
     tel = Telemetry(cadence=0.5)
     tel.set_run_info(nodes=3, slots=1, slot_duration=12.0, deadline=4.0, seed=1)
-    tel.configure_layers(builder_id=3, retrieval_floor=100)
-    tel.on_phase("seeding", 0, 0, 0.25)
-    tel.on_phase("sampling", 0, 0, 1.5)
-    tel.on_phase("sampling", 0, 1, 3.0)
-    tel.on_phase("sampling", 0, 2, 9.0)  # past the 4 s deadline
-    tel.on_round_latency(1, 0.125)
-    tel.on_round_latency(7, 2.0)
-    tel.on_shed("retrieval_admission", 5.0)
-    tel.on_queue_drop("inbox_overflow", 2.0)
-    tel.on_queue_depth("pending_requests", 12.0)
-    tel.on_fault("crash", 1.0)
-    tel.on_defense("quarantine", 2.0)
+    bus = ObservationBus(Simulator(), MetricsRecorder(), telemetry=tel)
+    bus.mark("seeding", 0, 0, 0.25)
+    bus.mark("sampling", 0, 0, 1.5)
+    bus.mark("sampling", 0, 1, 3.0)
+    bus.mark("sampling", 0, 2, 9.0)  # past the 4 s deadline
+    bus.round_latency(1, 0.125)
+    bus.round_latency(7, 2.0)
+    bus.shed("retrieval_admission", 5.0)
+    bus.queue_drop("inbox_overflow", 2.0)
+    bus.queue_depth("pending_requests", 12.0)
+    bus.fault("crash", 1.0)
+    bus.defense("quarantine", 2.0)
     tel.set_gauge("live_nodes", 3.0)
     tel.set_gauge("inbox_depth_max", 7.0)
     # one hand-fed sample row (no simulator is attached)
@@ -234,7 +238,7 @@ def test_health_expected_samples_denominator():
 def test_health_overload_onset_slot():
     tel = Telemetry()
     tel.set_run_info(slot_duration=12.0, deadline=4.0)
-    tel.on_phase("sampling", 0, 0, 1.0)
+    ObservationBus(Simulator(), MetricsRecorder(), telemetry=tel).mark("sampling", 0, 0, 1.0)
     # fabricate sample rows: clean during slot 0, shed appears in slot 2
     records = series_records(tel)
     records.insert(1, {"type": "sample", "t": 3.0, "values": {}})

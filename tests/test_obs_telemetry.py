@@ -20,6 +20,7 @@ from repro.core.seeding import RedundantSeeding
 from repro.experiments.pipeline import PipelineScenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.obs import Heartbeat, Histogram, Telemetry
+from repro.obs.bus import ObservationBus
 from repro.obs.telemetry import (
     DEPTH_BOUNDS,
     TIME_BOUNDS,
@@ -27,6 +28,8 @@ from repro.obs.telemetry import (
     pow2_bounds,
 )
 from repro.params import PandasParams, RetryPolicy
+from repro.sim.engine import Simulator
+from repro.sim.metrics import MetricsRecorder
 
 
 def dense_config(seed=9, **overrides):
@@ -221,17 +224,18 @@ def _Payload(name, priority=0):
 
 
 def test_layer_classification():
-    tel = Telemetry()
-    tel.configure_layers(builder_id=100, retrieval_floor=10_000_000)
-    assert tel._layer(100, 1, _Payload("CellRequest")) == "seed"
-    assert tel._layer(1, 2, _Payload("SeedMessage")) == "seed"
-    assert tel._layer(1, 2, _Payload("GossipMessage")) == "gossip"
-    assert tel._layer(1, 2, _Payload("CellRequest")) == "fetch"
-    assert tel._layer(1, 2, _Payload("CellRequest", priority=1)) == "retrieval"
-    assert tel._layer(10_000_001, 2, _Payload("CellRequest")) == "retrieval"
-    assert tel._layer(2, 10_000_001, _Payload("CellResponse")) == "retrieval"
-    assert tel._layer(2, 3, _Payload("CellResponse")) == "fetch"
-    assert tel._layer(1, 2, _Payload("Unknown")) == "other"
+    bus = ObservationBus(
+        Simulator(), MetricsRecorder(), builder_id=100, retrieval_floor=10_000_000
+    )
+    assert bus.layer(100, 1, _Payload("CellRequest")) == "seed"
+    assert bus.layer(1, 2, _Payload("SeedMessage")) == "seed"
+    assert bus.layer(1, 2, _Payload("GossipMessage")) == "gossip"
+    assert bus.layer(1, 2, _Payload("CellRequest")) == "fetch"
+    assert bus.layer(1, 2, _Payload("CellRequest", priority=1)) == "retrieval"
+    assert bus.layer(10_000_001, 2, _Payload("CellRequest")) == "retrieval"
+    assert bus.layer(2, 10_000_001, _Payload("CellResponse")) == "retrieval"
+    assert bus.layer(2, 3, _Payload("CellResponse")) == "fetch"
+    assert bus.layer(1, 2, _Payload("Unknown")) == "other"
 
 
 # ----------------------------------------------------------------------

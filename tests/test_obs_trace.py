@@ -9,12 +9,15 @@ streaming — and the serialized formats (JSONL, Chrome trace_event).
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
 import pytest
 
+from repro.baselines import GossipDasScenario, PeerDasScenario
 from repro.core.seeding import RedundantSeeding
+from repro.experiments.pipeline import PipelineScenario
 from repro.experiments.scenario import Scenario, ScenarioConfig
 from repro.obs import (
     KINDS,
@@ -23,9 +26,11 @@ from repro.obs import (
     ChromeTraceSink,
     JsonlSink,
     MemorySink,
+    Telemetry,
     TraceRecorder,
 )
 from repro.params import PandasParams
+from tests.test_obs_telemetry import pipeline_config
 
 
 def dense_config(seed=9, **overrides):
@@ -153,6 +158,90 @@ def test_traced_runs_are_byte_identical():
     first, second = run(), run()
     assert first  # non-empty trace
     assert first == second
+
+
+# Observation outputs of the fixed runs below (traced JSONL, telemetry
+# sample rows, invariant check count); stable across PYTHONHASHSEED
+# values. Any change to them is a change to what a run reports.
+TRACE_PIN = "7ecc278d35b50aefabfd5001a45d558d0850e0e60d3a0b65edc96a4e7893e62a"
+TRACE_PIN_EVENTS = 4873
+DENSE_SAMPLES_PIN = "c97c8225f5cd611426bfaa0816d6c36891b0149033ca8b3b0a77d3e647afbcd2"
+PIPELINE_SAMPLES_PIN = "ef9c40d4ffa34304b10d4517b6bf59d1f5176deccaeced1762beaf88a8cc2e5a"
+PIPELINE_CHECKS_PIN = 18_717
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_observation_outputs_match_pins():
+    """The traced JSONL, the telemetry sample rows and the invariant
+    check count of fixed runs are byte-for-byte what they were."""
+    buf = io.StringIO()
+    rec = TraceRecorder(sinks=[JsonlSink(buf)])
+    Scenario(dense_config(tracer=rec)).run()
+    rec.close()
+    trace = buf.getvalue()
+    assert trace.count("\n") == TRACE_PIN_EVENTS
+    assert _sha256(trace) == TRACE_PIN
+
+    tel = Telemetry()
+    Scenario(dense_config(telemetry=tel)).run()
+    assert _sha256(repr(tel.samples)) == DENSE_SAMPLES_PIN
+
+    tel = Telemetry()
+    pipeline = PipelineScenario(
+        pipeline_config(telemetry=tel, check_invariants=True), churn_fraction=0.1
+    ).run()
+    assert _sha256(repr(tel.samples)) == PIPELINE_SAMPLES_PIN
+    assert pipeline.invariants.checks_run == PIPELINE_CHECKS_PIN
+
+
+@pytest.mark.parametrize(
+    "scenario_cls, faults",
+    [
+        (Scenario, "crash=6@0.3:1.0"),
+        (GossipDasScenario, None),
+        (PeerDasScenario, None),
+    ],
+    ids=["pandas-crash", "gossipsub", "peerdas"],
+)
+def test_one_phase_event_per_recorded_mark(scenario_cls, faults):
+    """Every recorded phase mark is traced exactly once, at the
+    recorded time — a node re-completing a phase after a restart is
+    not traced again, and baselines are traced like PANDAS."""
+    from repro.faults.plan import FaultPlan
+
+    rec = TraceRecorder()
+    plan = FaultPlan.parse(faults) if faults else None
+    scenario = scenario_cls(dense_config(tracer=rec, faults=plan)).run()
+    traced = [
+        (e.slot, e.node, e.data["phase"], e.data["at"])
+        for e in rec.events
+        if e.kind == "phase"
+    ]
+    recorded = [
+        (slot, node, phase, getattr(times, phase))
+        for (slot, node), times in scenario.metrics.phase_times.items()
+        for phase in ("seeding", "consolidation", "sampling", "block")
+        if getattr(times, phase) is not None
+    ]
+    assert recorded
+    assert len(traced) == len(set(traced))
+    assert sorted(traced) == sorted(recorded)
+
+
+def test_bus_is_the_only_transport_observer():
+    """One observer per transport hook, whatever is attached."""
+    for config in (
+        dense_config(),
+        dense_config(tracer=TraceRecorder(), telemetry=Telemetry(), check_invariants=True),
+    ):
+        scenario = Scenario(config)
+        network = scenario.network
+        assert network.on_send == [scenario.obs.on_send]
+        assert network.on_deliver == [scenario.obs.on_deliver]
+        assert network.on_drop == [scenario.obs.on_drop]
 
 
 # ----------------------------------------------------------------------
