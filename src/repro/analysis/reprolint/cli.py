@@ -74,11 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sim/rng.py-style file to read the RL008 STREAM_OWNERS registry "
         "from (default: the installed repro.sim.rng)",
     )
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="content-hash-keyed result cache: only re-analyze files whose "
-        "content changed (created on first use)",
-    )
     return parser
 
 
@@ -111,20 +106,7 @@ def run(argv: list[str] | None = None) -> int:
     files = list(iter_python_files(paths))
     linter = Linter(config)
     root = Path(args.root) if args.root else None
-    cache = None
-    if args.cache:
-        from repro.analysis.reprolint.cache import LintCache
-
-        cache = LintCache(Path(args.cache), config)
-    findings = linter.lint_paths(paths, root=root, cache=cache)
-    if cache is not None:
-        cache.save()
-        print(
-            f"reprolint: cache {cache.file_hits} hit(s), "
-            f"{cache.file_misses} miss(es), program "
-            f"{'hit' if cache.program_hit else 'miss'}",
-            file=sys.stderr,
-        )
+    findings = linter.lint_paths(paths, root=root)
     if args.json:
         print(render_json(findings, len(files)))
     else:

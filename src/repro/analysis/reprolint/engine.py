@@ -38,7 +38,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import Any
 
 __all__ = [
     "Finding",
@@ -628,20 +627,8 @@ class Linter:
         return out
 
     # -- trees ----------------------------------------------------------
-    def lint_paths(
-        self,
-        paths: Sequence[Path],
-        root: Path | None = None,
-        cache: Any | None = None,
-    ) -> list[Finding]:
-        """Lint files/directories; paths in findings are ``root``-relative.
-
-        ``cache`` (a :class:`repro.analysis.reprolint.cache.LintCache`)
-        short-circuits per-file rule runs for files whose content hash
-        is unchanged, and the whole program pass when *no* file
-        changed; pragma application always re-runs (it is cheap and
-        content-local).
-        """
+    def lint_paths(self, paths: Sequence[Path], root: Path | None = None) -> list[Finding]:
+        """Lint files/directories; paths in findings are ``root``-relative."""
         findings: list[Finding] = []
         parsed: list[ProgramFile] = []
         per_file: dict[str, list[Finding]] = {}
@@ -659,17 +646,8 @@ class Linter:
                 findings.append(result)
                 continue
             parsed.append(result)
-            cached = cache.get_file(result) if cache is not None else None
-            if cached is None:
-                cached = self.run_file_rules(result)
-                if cache is not None:
-                    cache.put_file(result, cached)
-            per_file.setdefault(rel, []).extend(cached)
-        program_findings = cache.get_program(parsed) if cache is not None else None
-        if program_findings is None:
-            program_findings = self.run_program_rules(parsed)
-            if cache is not None:
-                cache.put_program(parsed, program_findings)
+            per_file.setdefault(rel, []).extend(self.run_file_rules(result))
+        program_findings = self.run_program_rules(parsed)
         for finding in program_findings:
             per_file.setdefault(finding.path, []).append(finding)
         for pfile in parsed:

@@ -273,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="machine-readable output: one JSON object instead of text",
     )
 
+    # main() forwards `lint` and `detsan` before parsing; these two
+    # subparsers only document them in `repro --help`
     lint = sub.add_parser(
         "lint",
         help="run reprolint, the determinism/protocol static analysis "
@@ -627,7 +629,7 @@ def _cmd_security(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.experiments.report import drain_buffer, print_trace_report
+    from repro.experiments.report import print_trace_report
     from repro.experiments.scenario import Scenario, ScenarioConfig
     from repro.faults.plan import FaultPlan
     from repro.obs import ChromeTraceSink, JsonlSink, TraceRecorder
@@ -676,15 +678,7 @@ def _cmd_trace(args) -> int:
     if args.chrome:
         print(f"  chrome         {args.chrome} (open in about://tracing or Perfetto)")
     if args.report:
-        import os
-
         print_trace_report(events, slot=0)
-        # _emit prints immediately outside pytest; under pytest the
-        # lines only land in the buffer, so replay them for capsys
-        lines = drain_buffer()
-        if "PYTEST_CURRENT_TEST" in os.environ:
-            for line in lines:
-                print(line)
     return 0
 
 
@@ -836,18 +830,6 @@ def _cmd_health(args) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_lint(args) -> int:
-    from repro.analysis.reprolint.cli import run
-
-    return run(args.lint_args)
-
-
-def _cmd_detsan(args) -> int:
-    from repro.analysis.detsan import run
-
-    return run(args.detsan_args)
-
-
 def _cmd_bench(args) -> int:
     from pathlib import Path
 
@@ -932,8 +914,6 @@ def main(argv: list[str] | None = None) -> int:
         "bench": _cmd_bench,
         "pipeline": _cmd_pipeline,
         "health": _cmd_health,
-        "lint": _cmd_lint,
-        "detsan": _cmd_detsan,
     }
     return handlers[args.command](args)
 

@@ -36,7 +36,8 @@ layout of :class:`repro.core.custody.SlotCellState` (bit *i* is
 position *i* within the line). Targeting works on masks directly:
 ``missing & boost``, plain missing cells, then ``missing & inbound``.
 Only the per-round target set and candidate cell sets are plain sets,
-and they live for one round.
+and they live for one round. The query ledger (:class:`PeerQuery`)
+keeps the cells asked of each peer as the frozenset its query carried.
 """
 
 from __future__ import annotations
@@ -45,13 +46,16 @@ import heapq
 import random
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable
+from typing import Any
 
 from repro.core.custody import SlotCellState, bit_positions
-from repro.obs.events import TraceRecorder
+from repro.obs.bus import ObservationBus
 from repro.params import FetchSchedule, RetryPolicy
 from repro.sim.engine import Event, Simulator
 
-__all__ = ["AdaptiveFetcher", "RoundStats", "FetchPlan", "plan_queries", "score_peers"]
+__all__ = [
+    "AdaptiveFetcher", "RoundStats", "FetchPlan", "PeerQuery", "plan_queries", "score_peers"
+]
 
 
 @dataclass(slots=True)
@@ -149,6 +153,41 @@ def plan_queries(
     return FetchPlan(tuple(queries))
 
 
+@dataclass(slots=True)
+class PeerQuery:
+    """What a fetcher knows about one peer it queried this slot.
+
+    Algorithm 1 tracks each query by peer; this is the one record every
+    reader works from: candidate exclusion, recycling, timeout evidence,
+    round attribution of replies, response acceptance (``asked``) and
+    the query-lifecycle trace.
+    """
+
+    round: int  # the latest round the peer was queried in
+    cells: frozenset[int]  # every cell asked of it this slot (union over re-queries)
+    excluded: bool = True  # out of the candidate pool until recycled
+    replied: bool = False  # answered at least once, even unusably
+    timeout_reported: bool = False  # timeout evidence already fed to reputation
+    req: int | None = None  # open trace request id (traced runs only)
+
+
+class _Unobserved:
+    """The bus stand-in of fetchers that report to none (baselines,
+    retrieval clients, unit tests): every observation is dropped."""
+
+    tracer = None
+
+    def trace(self, kind: str, **data: Any) -> None:
+        pass
+
+    def round_latency(self, round_index: int, latency: float) -> None:
+        pass
+
+
+_UNOBSERVED = _Unobserved()
+_NOT_ASKED: frozenset[int] = frozenset()
+
+
 class AdaptiveFetcher:
     """Executes Algorithm 1 for one node and one slot.
 
@@ -157,7 +196,9 @@ class AdaptiveFetcher:
 
     - ``line_custodians(line)``: view-filtered custodians of a line;
     - ``send_query(peer, cells)``: emit one QUERYCELLS datagram;
-    - ``on_round(stats)`` / ``on_done(success)``: telemetry sinks.
+    - ``on_done(success)``: completion sink;
+    - ``obs``: the run's observation bus (query-lifecycle trace and
+      per-round reply latency), or None to observe nothing.
     """
 
     __slots__ = (
@@ -169,7 +210,6 @@ class AdaptiveFetcher:
         "rng",
         "cb_boost",
         "self_id",
-        "on_round",
         "on_done",
         "fetch_custody",
         "_is_complete",
@@ -181,18 +221,13 @@ class AdaptiveFetcher:
         "deadline_at",
         "retry_waves",
         "retry_abandoned",
-        "responded",
-        "_timeouts_reported",
-        "tracer",
-        "trace_slot",
-        "observe_latency",
-        "_open_queries",
+        "obs",
+        "slot",
+        "queries",
         "boost",
         "_boost_cells",
         "inbound",
         "max_cells_per_query",
-        "queried",
-        "query_round",
         "rounds",
         "started",
         "finished",
@@ -210,7 +245,6 @@ class AdaptiveFetcher:
         rng: random.Random,
         cb_boost: float,
         self_id: int,
-        on_round: Callable[[RoundStats], None] | None = None,
         on_done: Callable[[bool], None] | None = None,
         fetch_custody: bool = True,
         is_complete: Callable[[], bool] | None = None,
@@ -221,9 +255,8 @@ class AdaptiveFetcher:
         retry_unresponsive: bool = False,
         retry_policy: RetryPolicy | None = None,
         deadline_at: float | None = None,
-        tracer: TraceRecorder | None = None,
+        obs: ObservationBus | None = None,
         slot: int = -1,
-        observe_latency: Callable[[int, float], None] | None = None,
     ) -> None:
         self.sim = sim
         self.state = state
@@ -233,7 +266,6 @@ class AdaptiveFetcher:
         self.rng = rng
         self.cb_boost = cb_boost
         self.self_id = self_id
-        self.on_round = on_round
         self.on_done = on_done
         # baselines disable consolidation: fetch samples only and
         # consider the slot done once sampling completes
@@ -260,20 +292,16 @@ class AdaptiveFetcher:
         self.deadline_at = deadline_at
         self.retry_waves = 0
         self.retry_abandoned = False
-        self.responded: set[int] = set()
-        self._timeouts_reported: set[int] = set()
-        # Query-lifecycle tracing (repro.obs): every query gets a
+        # Observation (repro.obs): trace events and reply latency go to
+        # the run's bus. With a tracer attached every query gets a
         # request id at issue time and terminates in exactly one of
-        # response/timeout/cancel. All of it is maintained only when a
-        # tracer is attached — pure observation, no RNG, no scheduling,
-        # so traced and untraced runs are behaviorally identical.
-        self.tracer = tracer
-        self.trace_slot = slot
-        # telemetry sink for per-round reply latency (repro.obs.
-        # telemetry); like the tracer, a pure observer — no RNG, no
-        # scheduling — so attaching one never changes fetch behavior
-        self.observe_latency = observe_latency
-        self._open_queries: dict[int, tuple[int, int]] = {}  # peer -> (req, round)
+        # response/timeout/cancel; without one none of that bookkeeping
+        # runs. Pure observation — no RNG, no scheduling — so observed
+        # and unobserved runs are behaviorally identical.
+        self.obs: ObservationBus | _Unobserved = obs if obs is not None else _UNOBSERVED
+        self.slot = slot
+        # peer -> its query record, in first-query order
+        self.queries: dict[int, PeerQuery] = {}
 
         # Boost map and inbound cells as per-custody-line bitmasks in the
         # layout of SlotCellState.mark: peer -> {line: mask} for the
@@ -282,8 +310,6 @@ class AdaptiveFetcher:
         self._boost_cells: dict[int, int] = {}
         self.inbound: dict[int, int] = {}
         self.max_cells_per_query = max_cells_per_query
-        self.queried: set[int] = set()
-        self.query_round: dict[int, int] = {}
         self.rounds: list[RoundStats] = []
         self.started = False
         self.finished = False
@@ -327,14 +353,34 @@ class AdaptiveFetcher:
         return self.state.cells_in(self.inbound)
 
     # ------------------------------------------------------------------
-    # tracing (no-ops unless a tracer is attached)
+    # the query ledger
     # ------------------------------------------------------------------
-    def _trace(self, kind: str, **data) -> None:
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled(kind):
-            tracer.emit(
-                kind, t=self.sim.now, slot=self.trace_slot, node=self.self_id, **data
-            )
+    def asked(self, peer: int) -> frozenset[int]:
+        """Every cell asked of ``peer`` this slot (empty if never queried).
+
+        A reply is solicited exactly when this is non-empty, including a
+        late reply from a peer that was recycled and not re-queried.
+        """
+        query = self.queries.get(peer)
+        return _NOT_ASKED if query is None else query.cells
+
+    def _expired(self, query: PeerQuery, now: float) -> bool:
+        """Has the round of ``query`` reached its deadline?
+
+        Rounds fire exactly at the previous deadline, so expiry is
+        ``deadline <= now``, not strict.
+        """
+        rnd = query.round
+        return rnd <= len(self.rounds) and self.rounds[rnd - 1].deadline <= now
+
+    def _open_requests(self) -> list[tuple[int, int, PeerQuery]]:
+        """``(req, peer, query)`` of every traced query not yet closed,
+        in issue order (request ids are monotonic)."""
+        return sorted(
+            (query.req, peer, query)
+            for peer, query in self.queries.items()
+            if query.req is not None
+        )
 
     def _trace_expire_queries(self) -> None:
         """Close open queries whose round deadline has passed.
@@ -344,21 +390,22 @@ class AdaptiveFetcher:
         failed validation) closes as an unusable ``query_response`` so
         it is never double-reported as a timeout.
         """
-        if self.tracer is None or not self._open_queries:
+        if self.obs.tracer is None:
             return
         now = self.sim.now
-        for peer in list(self._open_queries):
-            req, rnd = self._open_queries[peer]
-            if rnd > len(self.rounds) or self.rounds[rnd - 1].deadline > now:
+        for req, peer, query in self._open_requests():
+            if not self._expired(query, now):
                 continue
-            del self._open_queries[peer]
-            if peer in self.responded:
-                self._trace(
-                    "query_response", req=req, peer=peer, round=rnd,
-                    cells=0, new=0, reconstructed=0, late=True, usable=False,
+            query.req = None
+            if query.replied:
+                self.obs.trace(
+                    "query_response", slot=self.slot, node=self.self_id, req=req,
+                    peer=peer, round=query.round, cells=0, new=0, reconstructed=0,
+                    late=True, usable=False,
                 )
             else:
-                self._trace("query_timeout", req=req, peer=peer, round=rnd)
+                self.obs.trace("query_timeout", slot=self.slot, node=self.self_id, req=req,
+                               peer=peer, round=query.round)
 
     def _trace_close_open(self) -> None:
         """Terminate every still-open query when the fetcher ends.
@@ -367,18 +414,20 @@ class AdaptiveFetcher:
         close as ``query_cancel`` (the fetcher finished or was stopped
         before their round expired).
         """
-        if self.tracer is None:
+        if self.obs.tracer is None:
             return
         self._trace_expire_queries()
-        for peer, (req, rnd) in list(self._open_queries.items()):
-            if peer in self.responded:
-                self._trace(
-                    "query_response", req=req, peer=peer, round=rnd,
-                    cells=0, new=0, reconstructed=0, late=False, usable=False,
+        for req, peer, query in self._open_requests():
+            query.req = None
+            if query.replied:
+                self.obs.trace(
+                    "query_response", slot=self.slot, node=self.self_id, req=req,
+                    peer=peer, round=query.round, cells=0, new=0, reconstructed=0,
+                    late=False, usable=False,
                 )
             else:
-                self._trace("query_cancel", req=req, peer=peer, round=rnd)
-        self._open_queries.clear()
+                self.obs.trace("query_cancel", slot=self.slot, node=self.self_id, req=req,
+                               peer=peer, round=query.round)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -388,9 +437,9 @@ class AdaptiveFetcher:
         if self.started:
             return
         self.started = True
-        self._trace("fetch_start", custody=self.fetch_custody)
+        self.obs.trace("fetch_start", slot=self.slot, node=self.self_id, custody=self.fetch_custody)
         if self.complete:
-            self._complete()
+            self._finish(True, "complete")
             return
         self._run_round(1)
 
@@ -401,7 +450,8 @@ class AdaptiveFetcher:
         if not self.finished:
             self._trace_close_open()
             if self.started:
-                self._trace("fetch_done", success=False, reason="stopped")
+                self.obs.trace("fetch_done", slot=self.slot, node=self.self_id,
+                               success=False, reason="stopped")
         self.finished = True
 
     # ------------------------------------------------------------------
@@ -464,10 +514,10 @@ class AdaptiveFetcher:
         # close as timeouts even if the fetcher completes or gives up now
         self._trace_expire_queries()
         if self.complete:
-            self._complete()
+            self._finish(True, "complete")
             return
         if index >= self.schedule.max_rounds:
-            self._give_up()
+            self._finish(False, "exhausted")
             return
 
         self._report_timeouts()
@@ -479,13 +529,10 @@ class AdaptiveFetcher:
         targets = self.round_targets(index)
         stats.targets = len(targets)
         settle = self.schedule.settle_round
+        obs, slot, node = self.obs, self.slot, self.self_id
         candidate_cells, seeded, weights = self._candidate_cells(targets)
-        if (
-            not candidate_cells
-            and targets
-            and index >= settle
-            and self.retry_unresponsive
-        ):
+        backoff: float | None = None
+        if not candidate_cells and targets and index >= settle and self.retry_unresponsive:
             # Every custodian of the remaining targets has been queried
             # once already. Under loss, partitions or withholding peers
             # that is not the end: peers whose round expired without any
@@ -500,117 +547,82 @@ class AdaptiveFetcher:
                 # wave budget is spent), so the work is abandoned rather
                 # than retried into a slot it already missed
                 self.retry_abandoned = True
-                self._trace(
-                    "retry_abandoned",
-                    round=index,
-                    waves=self.retry_waves,
-                    targets=stats.targets,
-                )
+                obs.trace("retry_abandoned", slot=slot, node=node, round=index,
+                          waves=self.retry_waves, targets=stats.targets)
             else:
-                recycled = self._recycle_unresponsive()
-                if recycled:
-                    self._trace("query_recycle", pool="unresponsive", count=recycled)
-                    candidate_cells, seeded, weights = self._candidate_cells(targets)
-                if not candidate_cells:
-                    # Still nothing: the remaining targets' custodians all
-                    # *answered*, yet the cells never materialized — corrupt
-                    # responders whose payloads failed verification, or
-                    # replies that did not cover these cells. Re-open them
-                    # too; reputation weighting and quarantine steer the
-                    # retry toward whoever served honestly.
-                    recycled = self._recycle_responded()
+                # If that still leaves nothing, the remaining targets'
+                # custodians all *answered*, yet the cells never
+                # materialized — corrupt responders whose payloads failed
+                # verification, or replies that did not cover these
+                # cells. Re-open them too; reputation weighting and
+                # quarantine steer the retry toward whoever served honestly.
+                for pool in ("unresponsive", "responded"):
+                    recycled = self._recycle(silent_only=pool == "unresponsive")
                     if recycled:
-                        self._trace("query_recycle", pool="responded", count=recycled)
+                        obs.trace("query_recycle", slot=slot, node=node, pool=pool, count=recycled)
                         candidate_cells, seeded, weights = self._candidate_cells(targets)
+                    if candidate_cells:
+                        break
                 if candidate_cells and policy is not None:
                     # back off before re-querying: the recycled peers go
                     # back in the pool now, but the wave itself runs
                     # after a seeded jittered exponential delay instead
                     # of re-hammering them on the round tick
-                    delay = self._next_backoff(policy)
-                    self._trace(
-                        "retry_backoff",
-                        round=index,
-                        wave=self.retry_waves,
-                        delay=delay,
-                    )
-                    if self.on_round is not None:
-                        self.on_round(stats)
-                    self._trace(
-                        "fetch_round",
-                        round=index,
-                        targets=stats.targets,
-                        queries=0,
-                        cells=0,
-                    )
-                    self._timer = self.sim.call_after(
-                        delay, self._run_round, index + 1
-                    )
-                    return
-        if not candidate_cells:
-            if self.on_round is not None:
-                self.on_round(stats)
-            self._trace(
-                "fetch_round", round=index, targets=stats.targets, queries=0, cells=0
+                    backoff = self._next_backoff(policy)
+                    obs.trace("retry_backoff", slot=slot, node=node, round=index,
+                              wave=self.retry_waves, delay=backoff)
+        delay: float | None = self.schedule.timeout(index)
+        if backoff is not None:
+            delay = backoff
+        elif candidate_cells:
+            scores = score_peers(targets, candidate_cells, seeded, self.cb_boost, weights)
+            peers = list(candidate_cells)
+            self.rng.shuffle(peers)  # unbiased tie-break among equal scores
+            peers.sort(key=lambda p: scores[p], reverse=True)
+            plan = plan_queries(
+                targets, peers, candidate_cells, self.schedule.redundancy_for(index),
+                max_cells_per_query=self.max_cells_per_query,
             )
-            if index >= settle:
-                # Inbound cells are no longer trusted once the schedule
-                # settles and even already-queried peers are recycled
-                # above, so an empty plan here means nobody reachable can
-                # serve the remaining targets. Stop scheduling; buffered
-                # replies already in flight may still complete the state.
-                return
-            # pre-settle rounds may have empty plans only because lost
-            # inbound cells are still trusted; keep ticking so the
-            # settle round retries
-            self._timer = self.sim.call_after(
-                self.schedule.timeout(index), self._run_round, index + 1
-            )
-            return
-
-        scores = score_peers(targets, candidate_cells, seeded, self.cb_boost, weights)
-        peers = list(candidate_cells)
-        self.rng.shuffle(peers)  # unbiased tie-break among equal scores
-        peers.sort(key=lambda p: scores[p], reverse=True)
-        plan = plan_queries(
-            targets,
-            peers,
-            candidate_cells,
-            self.schedule.redundancy_for(index),
-            max_cells_per_query=self.max_cells_per_query,
-        )
-        tracer = self.tracer
-        for peer, cells in plan.queries:
-            if tracer is not None:
-                req = tracer.next_request_id()
-                stale = self._open_queries.pop(peer, None)
-                if stale is not None:
-                    # re-query of a recycled peer whose prior query never
-                    # closed through sweep/response: close it explicitly
-                    # so every req terminates exactly once
-                    self._trace("query_cancel", req=stale[0], peer=peer, round=stale[1])
-                self._open_queries[peer] = (req, index)
-                self._trace(
-                    "query_issue", req=req, peer=peer, round=index, cells=len(cells)
-                )
-            self.send_query(peer, cells)
-            self.queried.add(peer)
-            self.query_round[peer] = index
-        stats.messages_sent = len(plan.queries)
-        stats.cells_requested = plan.cells_requested
-
-        if self.on_round is not None:
-            self.on_round(stats)
-        self._trace(
-            "fetch_round",
-            round=index,
-            targets=stats.targets,
-            queries=stats.messages_sent,
-            cells=stats.cells_requested,
-        )
-        self._timer = self.sim.call_after(
-            self.schedule.timeout(index), self._run_round, index + 1
-        )
+            tracer = obs.tracer
+            queries = self.queries
+            for peer, cells in plan.queries:
+                query = queries.get(peer)
+                if query is None:
+                    query = queries[peer] = PeerQuery(index, cells)
+                else:
+                    # a recycled peer: a late reply to its earlier query
+                    # stays acceptable, so the asked cells accumulate
+                    if query.req is not None:
+                        # its prior query never closed through sweep or
+                        # response: close it explicitly so every req
+                        # terminates exactly once
+                        obs.trace("query_cancel", slot=slot, node=node, req=query.req,
+                                  peer=peer, round=query.round)
+                        query.req = None
+                    query.round = index
+                    query.cells |= cells
+                    query.excluded = True
+                if tracer is not None:
+                    query.req = tracer.next_request_id()
+                    obs.trace("query_issue", slot=slot, node=node, req=query.req, peer=peer,
+                              round=index, cells=len(cells))
+                self.send_query(peer, cells)
+            stats.messages_sent = len(plan.queries)
+            stats.cells_requested = plan.cells_requested
+        elif index >= settle:
+            # Inbound cells are no longer trusted once the schedule
+            # settles and even already-queried peers are recycled
+            # above, so an empty plan here means nobody reachable can
+            # serve the remaining targets. Stop scheduling; buffered
+            # replies already in flight may still complete the state.
+            # (Pre-settle rounds may have empty plans only because lost
+            # inbound cells are still trusted: they keep ticking so the
+            # settle round retries.)
+            delay = None
+        obs.trace("fetch_round", slot=slot, node=node, round=index, targets=stats.targets,
+                  queries=stats.messages_sent, cells=stats.cells_requested)
+        if delay is not None:
+            self._timer = self.sim.call_after(delay, self._run_round, index + 1)
 
     def _candidate_cells(
         self, targets: set[int]
@@ -663,7 +675,7 @@ class AdaptiveFetcher:
         if weight is not None:
             weights = {}
         line_custodians = self.line_custodians
-        skip: set[int] = set(self.queried)
+        skip = {peer for peer, query in self.queries.items() if query.excluded}
         skip.add(self.self_id)
         for line in missing_by_line:
             for peer in line_custodians(line):
@@ -737,48 +749,23 @@ class AdaptiveFetcher:
             delay *= 1.0 + policy.jitter * self.rng.random()
         return delay
 
-    def _recycle_unresponsive(self) -> int:
-        """Return queried-but-silent peers to the candidate pool.
+    def _recycle(self, silent_only: bool) -> int:
+        """Return excluded peers whose query round expired to the pool.
 
-        A peer is recycled only after the round it was queried in has
-        expired with no reply at all; quarantined peers remain excluded
-        by ``_candidate_cells``. Returns how many peers were recycled.
-        (Rounds fire exactly at the previous deadline, so expiry is
-        ``deadline <= now``, not strict.)
+        With ``silent_only`` only peers that never replied are recycled;
+        without it, as a last resort, peers that replied but left
+        targets unmet are too. Quarantined peers remain excluded by
+        ``_candidate_cells``, and the reputation weight makes honest
+        servers out-score the liars that forced the retry. Returns how
+        many peers were recycled.
         """
         now = self.sim.now
-        stale = {
-            peer
-            for peer, rnd in self.query_round.items()
-            if peer in self.queried
-            and peer not in self.responded
-            and rnd <= len(self.rounds)
-            and self.rounds[rnd - 1].deadline <= now
-        }
-        self.queried -= stale
-        return len(stale)
-
-    def _recycle_responded(self) -> int:
-        """Last resort: re-open peers that replied but left targets unmet.
-
-        Used only when even recycling silent peers yields no candidates:
-        every custodian of the remaining targets answered something, yet
-        the cells never verified or were not covered by the reply. Peers
-        become eligible once the round they were queried in has expired;
-        quarantined peers stay excluded by ``_candidate_cells``, and the
-        reputation weight makes honest servers out-score the liars that
-        forced this retry in the first place.
-        """
-        now = self.sim.now
-        stale = {
-            peer
-            for peer, rnd in self.query_round.items()
-            if peer in self.queried
-            and rnd <= len(self.rounds)
-            and self.rounds[rnd - 1].deadline <= now
-        }
-        self.queried -= stale
-        return len(stale)
+        recycled = 0
+        for query in self.queries.values():
+            if query.excluded and not (silent_only and query.replied) and self._expired(query, now):
+                query.excluded = False
+                recycled += 1
+        return recycled
 
     def _report_timeouts(self) -> None:
         """Feed peers that missed their round deadline to the reputation sink.
@@ -791,11 +778,11 @@ class AdaptiveFetcher:
         if self.on_peer_timeout is None:
             return
         now = self.sim.now
-        for peer, round_index in self.query_round.items():
-            if peer in self.responded or peer in self._timeouts_reported:
+        for peer, query in self.queries.items():
+            if query.replied or query.timeout_reported:
                 continue
-            if round_index <= len(self.rounds) and self.rounds[round_index - 1].deadline <= now:
-                self._timeouts_reported.add(peer)
+            if self._expired(query, now):
+                query.timeout_reported = True
                 self.on_peer_timeout(peer)
 
     # ------------------------------------------------------------------
@@ -808,7 +795,9 @@ class AdaptiveFetcher:
         so a peer that *replied* is never also reported as timed out —
         corrupt responders are punished once, as corrupt, not twice.
         """
-        self.responded.add(peer)
+        query = self.queries.get(peer)
+        if query is not None:
+            query.replied = True
 
     def on_response(self, peer: int, cells: tuple[int, ...]) -> tuple[int, int]:
         """Account a CellResponse; returns (new_cells, reconstructed).
@@ -816,14 +805,16 @@ class AdaptiveFetcher:
         Updates the custody state so duplicate accounting and round
         attribution stay consistent.
         """
-        self.responded.add(peer)
+        query = self.queries.get(peer)
+        if query is not None:
+            query.replied = True
         new_count, reconstructed = self.state.add_cells(cells)
-        round_index = self.query_round.get(peer)
-        if round_index is not None and round_index <= len(self.rounds):
-            stats = self.rounds[round_index - 1]
-            if self.observe_latency is not None:
-                self.observe_latency(round_index, self.sim.now - stats.started_at)
-            if self.sim.now <= stats.deadline:
+        obs = self.obs
+        if query is not None and query.round <= len(self.rounds):
+            now = self.sim.now
+            stats = self.rounds[query.round - 1]
+            obs.round_latency(query.round, now - stats.started_at)
+            if now <= stats.deadline:
                 stats.replies_in_round += 1
                 stats.cells_in_round += new_count
             else:
@@ -831,25 +822,23 @@ class AdaptiveFetcher:
                 stats.cells_after_round += new_count
             stats.duplicates += len(cells) - new_count
             stats.reconstructed += reconstructed
-        if self.tracer is not None:
-            entry = self._open_queries.pop(peer, None)
-            if entry is not None:
-                req, rnd = entry
-                late = (
-                    rnd <= len(self.rounds)
-                    and self.sim.now > self.rounds[rnd - 1].deadline
-                )
-                self._trace(
-                    "query_response", req=req, peer=peer, round=rnd,
-                    cells=len(cells), new=new_count,
+        if obs.tracer is not None:
+            if query is not None and query.req is not None:
+                rnd = query.round
+                late = rnd <= len(self.rounds) and self.sim.now > self.rounds[rnd - 1].deadline
+                obs.trace(
+                    "query_response", slot=self.slot, node=self.self_id, req=query.req,
+                    peer=peer, round=rnd, cells=len(cells), new=new_count,
                     reconstructed=reconstructed, late=late, usable=True,
                 )
+                query.req = None
             else:
                 # the query already closed (timeout sweep or recycle);
                 # a legitimate deferred reply, recorded but non-terminal
-                self._trace("query_late_reply", peer=peer, cells=len(cells), new=new_count)
+                obs.trace("query_late_reply", slot=self.slot, node=self.self_id, peer=peer,
+                          cells=len(cells), new=new_count)
         if self.complete:
-            self._complete()
+            self._finish(True, "complete")
         return new_count, reconstructed
 
     def note_external_cells(self, reconstructed: int) -> None:
@@ -857,7 +846,7 @@ class AdaptiveFetcher:
         if self.rounds and reconstructed:
             self.rounds[-1].reconstructed += reconstructed
         if self.started and self.complete:
-            self._complete()
+            self._finish(True, "complete")
 
     @property
     def complete(self) -> bool:
@@ -869,24 +858,17 @@ class AdaptiveFetcher:
         return self.state.sampling_complete
 
     # ------------------------------------------------------------------
-    def _complete(self) -> None:
+    def _finish(self, success: bool, reason: str) -> None:
         if self.finished:
             return
         self.finished = True
-        self.succeeded = True
+        self.succeeded = success
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
         self._trace_close_open()
-        self._trace("fetch_done", success=True, reason="complete")
+        self.obs.trace(
+            "fetch_done", slot=self.slot, node=self.self_id, success=success, reason=reason
+        )
         if self.on_done is not None:
-            self.on_done(True)
-
-    def _give_up(self) -> None:
-        if self.finished:
-            return
-        self.finished = True
-        self._trace_close_open()
-        self._trace("fetch_done", success=False, reason="exhausted")
-        if self.on_done is not None:
-            self.on_done(False)
+            self.on_done(success)

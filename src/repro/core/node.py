@@ -93,9 +93,6 @@ class _SlotState:
     # live retrieval-class records in admission order; the eviction
     # queue when a sampling-class request needs room under the limit
     pending_retrieval: list[_PendingRequest] = field(default_factory=list)
-    # peer -> cells we asked it for this slot; a CellResponse is only
-    # accepted when its source and cells match an entry here
-    outstanding: dict[int, set[int]] = field(default_factory=dict)
     # fires at the sampling deadline: buffered request remainders for
     # this slot can no longer be answered usefully, so they are dropped
     # instead of accumulating for the rest of the run
@@ -195,16 +192,15 @@ class PandasNode:
             peer_weight=self.reputation.weight,
             exclude_peer=self.reputation.quarantined,
             on_peer_timeout=self._on_peer_timeout,
-            retry_unresponsive=params.fetch_retry_unresponsive,
+            retry_unresponsive=True,
             retry_policy=params.fetch_retry,
             deadline_at=(
                 ctx.slot_start(slot) + params.deadline
                 if params.fetch_retry is not None
                 else None
             ),
-            tracer=ctx.obs.tracer,
+            obs=ctx.obs,
             slot=slot,
-            observe_latency=ctx.obs.round_latency,
         )
         return _SlotState(cells=cells, fetcher=fetcher, store_sink=store_sink)
 
@@ -487,15 +483,17 @@ class PandasNode:
                 self.reputation.record_unsolicited(src)
                 self._defense("resp_unsolicited", slot=slot)
             return
-        outstanding = state.outstanding.get(src)
-        if not outstanding:
+        # the fetcher's query ledger: every cell asked of this peer
+        # this slot, across re-queries
+        asked = state.fetcher.asked(src)
+        if not asked:
             self.reputation.record_unsolicited(src)
             self._defense("resp_unsolicited", slot=slot)
             return
         # the peer *answered*: whatever else is wrong with the payload,
         # it must not additionally be reported as timed out
         state.fetcher.note_reply(src)
-        requested = [cid for cid in msg.cells if cid in outstanding]
+        requested = [cid for cid in msg.cells if cid in asked]
         unrequested = len(msg.cells) - len(requested)
         if unrequested:
             self.reputation.record_unrequested(src, unrequested)
@@ -520,9 +518,6 @@ class PandasNode:
     # outgoing queries
     # ------------------------------------------------------------------
     def _send_query(self, slot: int, epoch: int, peer: int, cells: frozenset[int]) -> None:
-        state = self._slots.get(slot)
-        if state is not None:
-            state.outstanding.setdefault(peer, set()).update(cells)
         request = CellRequest(slot=slot, epoch=epoch, cells=cells)
         self.ctx.network.send(
             self.node_id, peer, request, request.wire_size(self.ctx.params)

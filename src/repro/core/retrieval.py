@@ -206,7 +206,9 @@ class RetrievalClient:
         if not isinstance(payload, CellResponse):
             return
         for retrieval in self._active.get(payload.slot, ()):
-            if dgram.src in retrieval.fetcher.queried and not retrieval.fetcher.finished:
+            # retrieval never recycles peers, so "asked this slot" is
+            # exactly "queried and still excluded from the pool"
+            if retrieval.fetcher.asked(dgram.src) and not retrieval.fetcher.finished:
                 retrieval.fetcher.on_response(dgram.src, payload.cells)
 
     def _send_query(self, slot: int, epoch: int, peer: int, cells: frozenset[int]) -> None:

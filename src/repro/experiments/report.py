@@ -162,22 +162,23 @@ def print_trace_report(
     from repro.obs.timeline import as_dict, causal_report, lifecycle_problems, slowest_nodes
 
     materialized = [as_dict(e) for e in events]
-    print_header(f"Trace report: slot {slot}, slowest by {phase}")
+    print()
+    print("=" * 78)
+    print(f"Trace report: slot {slot}, slowest by {phase}")
+    print("=" * 78)
     problems = lifecycle_problems(materialized)
-    print_row(
-        f"query lifecycle: {'OK' if not problems else f'{len(problems)} problem(s)'}"
-    )
+    print(f"  query lifecycle: {'OK' if not problems else f'{len(problems)} problem(s)'}")
     for problem in problems[:5]:
-        print_row(f"  !! {problem}")
+        print(f"    !! {problem}")
     ranked = slowest_nodes(materialized, slot=slot, phase=phase, count=count)
     if not ranked:
-        print_row("(no node events in this slot)")
+        print("  (no node events in this slot)")
         return
     for node, at in ranked:
         done = "miss" if at is None else f"{at * 1e3:.0f}ms"
-        print_row(f"node {node:>5}: {phase} {done}")
+        print(f"  node {node:>5}: {phase} {done}")
     slowest, _at = ranked[0]
-    print_row("")
-    print_row(f"-- node {slowest} causal timeline --")
+    print("  ")
+    print(f"  -- node {slowest} causal timeline --")
     for line in causal_report(materialized, slot, slowest):
-        print_row(line)
+        print("  " + line)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.assignment import Custody, cells_of_line
 from repro.core.custody import SlotCellState
-from repro.core.fetching import AdaptiveFetcher
+from repro.core.fetching import AdaptiveFetcher, PeerQuery
 from repro.params import FetchSchedule, PandasParams
 from repro.sim.engine import Simulator
 
@@ -278,7 +278,8 @@ def test_round_targets_and_candidates_match_set_model(data, layout, seed):
     for batch in cell_batches(data.draw, custody, data.draw(st.integers(0, 3))):
         state.add_cells(batch)
         model.add_cells(batch)
-    fetcher.queried.update(data.draw(st.sets(st.integers(1, 39), max_size=10)))
+    for peer in data.draw(st.sets(st.integers(1, 39), max_size=10)):
+        fetcher.queries[peer] = PeerQuery(round=1, cells=frozenset({peer}))
     settle = fetcher.schedule.settle_round
     for round_index in (1, settle - 1, settle, settle + 1):
         targets = fetcher.round_targets(round_index)
@@ -286,7 +287,8 @@ def test_round_targets_and_candidates_match_set_model(data, layout, seed):
         # same insertions in the same order: identical iteration order
         assert list(targets) == list(expected)
         candidates, seeded, weights = fetcher._candidate_cells(targets)
-        skip = set(fetcher.queried) | {fetcher.self_id}
+        skip = {peer for peer, query in fetcher.queries.items() if query.excluded}
+        skip.add(fetcher.self_id)
         reference = model_candidates(
             targets, lambda line: custodians.get(line, []), skip,
             excluded.__contains__, boost,

@@ -221,12 +221,11 @@ class TestRounds:
         assert done == [False]
 
     def test_round_stats_recorded(self):
-        rounds = []
         custodians = {line: list(range(8)) for line in range(32)}
         fetcher, state, sim, sent = make_fetcher(custodians=custodians)
-        fetcher.on_round = lambda stats: rounds.append(stats)
         fetcher.start()
         sim.run(until=0.5)
+        rounds = fetcher.rounds
         assert rounds[0].index == 1
         assert rounds[0].messages_sent == len([s for s in sent if s[0] == 0.0])
         assert rounds[0].cells_requested > 0

@@ -10,14 +10,21 @@ buffered request remainders expire at the sampling deadline.
 
 from __future__ import annotations
 
+from repro.core.fetching import PeerQuery
 from repro.core.messages import (
     PRIORITY_RETRIEVAL,
     CellRequest,
     CellResponse,
     SeedMessage,
 )
-from repro.params import PandasParams
+from repro.params import PandasParams, RetryPolicy
 from tests.helpers import make_world
+
+
+def ask(state, peer: int, cells: set[int]) -> None:
+    """Record in the slot fetcher's query ledger that ``peer`` was asked
+    for ``cells`` in round 1, as if the fetcher had queried it."""
+    state.fetcher.queries[peer] = PeerQuery(round=1, cells=frozenset(cells))
 
 
 def small_params(**overrides) -> PandasParams:
@@ -72,7 +79,7 @@ class TestResponseValidation:
         world = make_world()
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = {1, 2}
+        ask(state, 5, {1, 2})
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2, 3))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
         world.sim.run(until=0.1)
@@ -85,7 +92,7 @@ class TestResponseValidation:
         world = make_world()
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = {1, 2}
+        ask(state, 5, {1, 2})
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2), invalid=frozenset({1}))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
         world.sim.run(until=0.1)
@@ -99,7 +106,7 @@ class TestResponseValidation:
         world = make_world()
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = {1, 2}
+        ask(state, 5, {1, 2})
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2), invalid=frozenset({1, 2}))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
         world.sim.run(until=0.1)
@@ -110,7 +117,7 @@ class TestResponseValidation:
         world = make_world()
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = {1}
+        ask(state, 5, {1})
         node.drop_slot(0)
         resp = CellResponse(slot=0, epoch=0, cells=(1,))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
@@ -119,12 +126,78 @@ class TestResponseValidation:
         assert 5 not in node.reputation.stats
 
 
+class _SilentPeer:
+    """Stands in for a node that receives queries and never answers."""
+
+    def __init__(self) -> None:
+        self.asked: list[frozenset[int]] = []
+
+    def on_datagram(self, dgram) -> None:
+        if isinstance(dgram.payload, CellRequest):
+            self.asked.append(dgram.payload.cells)
+
+
+class TestQueryLedger:
+    """Response acceptance reads the fetcher's per-peer query record:
+    a reply is solicited iff the peer was asked for those cells this
+    slot, whatever recycling did to the peer since."""
+
+    def _silent_world(self, params=None):
+        world = make_world(params=params)
+        for nid in list(world.nodes):
+            if nid != 0:
+                world.nodes[nid] = _SilentPeer()
+        world.ctx.begin_slot(0)
+        node = world.nodes[0]
+        node.restart(0)  # fetch with no seed data: every cell is queried
+        return world, node
+
+    def _reply(self, world, peer: int, cells) -> None:
+        resp = CellResponse(slot=0, epoch=0, cells=tuple(sorted(cells)))
+        world.network.send(peer, 0, resp, resp.wire_size(world.params))
+
+    def test_requeried_peer_answers_both_queries_at_once(self):
+        world, node = self._silent_world()
+        world.sim.run(until=1.0)
+        peer, first, last = next(
+            (nid, stub.asked[0], stub.asked[-1])
+            for nid, stub in world.nodes.items()
+            if nid != 0 and len(set(stub.asked)) > 1
+        )
+        # recycled silent, then re-queried for a different cell set
+        only_first, only_last = first - last, last - first
+        assert only_first and only_last
+        self._reply(world, peer, only_first | only_last)
+        world.sim.run(until=1.1)
+        cells = node.slot_cells(0)
+        assert all(cells.has_cell(cid) for cid in only_first | only_last)
+        assert "cells_unrequested" not in world.ctx.metrics.defense_counts
+        assert node.reputation.stats[peer].valid == len(only_first | only_last)
+
+    def test_late_reply_from_recycled_peer_accepted(self):
+        # a backoff policy leaves recycled peers out of any query until
+        # the next wave: the window this test replies in
+        world, node = self._silent_world(small_params(fetch_retry=RetryPolicy(jitter=0.0)))
+        fetcher = node.slot_fetcher(0)
+        while not any(not q.excluded for q in fetcher.queries.values()):
+            assert world.sim.now < 2.0, "no peer was ever recycled"
+            world.sim.run(until=world.sim.now + 0.01)
+        peer = next(p for p, q in fetcher.queries.items() if not q.excluded)
+        (asked,) = world.nodes[peer].asked  # queried once, not re-queried
+        self._reply(world, peer, asked)
+        world.sim.run(until=world.sim.now + 0.02)
+        assert world.nodes[peer].asked == [asked]  # still not re-queried
+        assert all(node.slot_cells(0).has_cell(cid) for cid in asked)
+        assert "resp_unsolicited" not in world.ctx.metrics.defense_counts
+        assert node.reputation.stats[peer].valid == len(asked)
+
+
 class TestVerifyCost:
     def test_verification_delay_charged_per_cell(self):
         world = make_world(params=small_params(cell_verify_seconds=0.01))
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = {1, 2}
+        ask(state, 5, {1, 2})
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
         # delivery at 0.01 (latency) + 2 cells x 10 ms verify = 0.03
@@ -137,7 +210,7 @@ class TestVerifyCost:
         world = make_world(params=small_params(cell_verify_seconds=0.01))
         node = world.nodes[0]
         state = node._slot_state(0)
-        state.outstanding[5] = {1, 2}
+        ask(state, 5, {1, 2})
         resp = CellResponse(slot=0, epoch=0, cells=(1, 2))
         world.network.send(5, 0, resp, resp.wire_size(world.params))
         world.sim.run(until=0.015)  # delivered, still verifying

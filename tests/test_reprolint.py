@@ -400,120 +400,6 @@ class TestInterprocedural:
         assert codes(Linter().lint_source(source, "s.py")) == []
 
 
-class TestCache:
-    def _tree(self, tmp_path: Path) -> Path:
-        tree = tmp_path / "proj"
-        tree.mkdir()
-        (tree / "a.py").write_text(
-            "def order(peers: set):\n    return list(peers)\n",
-            encoding="utf-8",
-        )
-        (tree / "b.py").write_text(
-            "from a import order\n"
-            "def run(transport, peers: set):\n"
-            "    for p in order(peers):\n"
-            "        transport.send(p, b'')\n",
-            encoding="utf-8",
-        )
-        return tree
-
-    def test_cold_then_warm_and_results_identical(self, tmp_path):
-        from repro.analysis.reprolint.cache import LintCache
-
-        tree = self._tree(tmp_path)
-        config = LintConfig()
-        cache_path = tmp_path / "cache.json"
-
-        cache = LintCache(cache_path, config)
-        first = Linter(config).lint_paths([tree], root=tree, cache=cache)
-        cache.save()
-        assert cache.file_misses == 2 and cache.file_hits == 0
-        assert not cache.program_hit
-
-        warm = LintCache(cache_path, config)
-        second = Linter(config).lint_paths([tree], root=tree, cache=warm)
-        assert warm.file_hits == 2 and warm.file_misses == 0
-        assert warm.program_hit
-        assert [f.format() for f in first] == [f.format() for f in second]
-        assert [f.rule for f in active(second)] == ["RL007"]
-
-    def test_content_change_invalidates_file_and_program(self, tmp_path):
-        from repro.analysis.reprolint.cache import LintCache
-
-        tree = self._tree(tmp_path)
-        config = LintConfig()
-        cache_path = tmp_path / "cache.json"
-        cache = LintCache(cache_path, config)
-        Linter(config).lint_paths([tree], root=tree, cache=cache)
-        cache.save()
-
-        # sorting at the source removes the cross-module flow; the
-        # cache must not resurrect it
-        (tree / "a.py").write_text(
-            "def order(peers: set):\n    return sorted(peers)\n",
-            encoding="utf-8",
-        )
-        warm = LintCache(cache_path, config)
-        findings = Linter(config).lint_paths([tree], root=tree, cache=warm)
-        assert warm.file_hits == 1 and warm.file_misses == 1
-        assert not warm.program_hit
-        assert [f.rule for f in active(findings)] == []
-
-    def test_changed_config_invalidates_everything(self, tmp_path):
-        from repro.analysis.reprolint.cache import LintCache
-
-        tree = self._tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        cache = LintCache(cache_path, LintConfig())
-        Linter(LintConfig()).lint_paths([tree], root=tree, cache=cache)
-        cache.save()
-
-        narrowed = LintConfig(select=("RL003",))
-        cold = LintCache(cache_path, narrowed)
-        Linter(narrowed).lint_paths([tree], root=tree, cache=cold)
-        assert cold.file_misses == 2 and cold.file_hits == 0
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        from repro.analysis.reprolint.cache import LintCache
-
-        tree = self._tree(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json", encoding="utf-8")
-        cache = LintCache(cache_path, LintConfig())
-        findings = Linter(LintConfig()).lint_paths([tree], root=tree, cache=cache)
-        assert [f.rule for f in active(findings)] == ["RL007"]
-
-    def test_pragmas_reapplied_on_warm_hits(self, tmp_path):
-        from repro.analysis.reprolint.cache import LintCache
-
-        tree = tmp_path / "proj"
-        tree.mkdir()
-        (tree / "m.py").write_text(
-            "import random\n"
-            "x = random.random()  # reprolint: disable=RL001 -- fixture\n",
-            encoding="utf-8",
-        )
-        cache_path = tmp_path / "cache.json"
-        config = LintConfig()
-        cache = LintCache(cache_path, config)
-        Linter(config).lint_paths([tree], root=tree, cache=cache)
-        cache.save()
-        warm = LintCache(cache_path, config)
-        findings = Linter(config).lint_paths([tree], root=tree, cache=warm)
-        assert warm.file_hits == 1
-        assert [f.rule for f in active(findings)] == []
-        assert sum(f.suppressed for f in findings) == 1
-
-    def test_cli_cache_flag(self, tmp_path, capsys):
-        cache_path = tmp_path / "cache.json"
-        target = str(FIXTURES / "rl001_good.py")
-        assert reprolint_run([target, "--cache", str(cache_path)]) == 0
-        assert cache_path.exists()
-        assert reprolint_run([target, "--cache", str(cache_path)]) == 0
-        err = capsys.readouterr().err
-        assert "1 hit(s), 0 miss(es)" in err
-
-
 # ----------------------------------------------------------------------
 # the meta-test: this repository obeys its own contract
 # ----------------------------------------------------------------------

@@ -28,6 +28,26 @@ def test_fetch_rows_completes_after_slot():
     assert len(outcome.cells) == 2 * world.params.ext_cols
 
 
+def test_responses_from_never_queried_peers_ignored():
+    """The client gate reads the fetcher's query ledger: only peers it
+    asked this slot can feed the retrieval."""
+    from repro.core.messages import CellResponse
+
+    world, client = make_world_with_client(num_nodes=30)
+    world.ctx.begin_slot(0)
+    outcome = client.fetch_lines(0, rows=(2,))  # no seed yet: nobody can serve
+    fetcher = client._active[0][0].fetcher
+    row = tuple(2 * world.params.ext_cols + pos for pos in range(world.params.ext_cols))
+    stranger = next(nid for nid in world.nodes if nid not in fetcher.queries)
+    queried = next(iter(fetcher.queries))
+    for src, cells in ((stranger, row[:8]), (queried, row[8:9])):
+        resp = CellResponse(slot=0, epoch=0, cells=cells)
+        world.network.send(src, 1000, resp, resp.wire_size(world.params))
+    world.sim.run(until=world.sim.now + 0.1)
+    assert outcome.cells == {row[8]}  # the queried peer's cell only
+    assert [stats.replies_in_round for stats in fetcher.rounds] == [1]
+
+
 def test_fetch_columns():
     world, client = make_world_with_client(num_nodes=30)
     world.run_slot(0)
